@@ -28,9 +28,8 @@
 #include <algorithm>
 #include <string>
 
-#include "sim/audit.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
+#include "sim/probes.hh"
 
 namespace nifdy
 {
@@ -154,6 +153,7 @@ CollEngine::OpenColl::reset()
 CollEngine::CollEngine(NodeId node, int numNodes,
                        const CollConfig &cfg, PacketPool &pool)
     : node_(node), numNodes_(numNodes), cfg_(cfg), pool_(pool),
+      probes_(&noProbes),
       rng_(cfg.seed, 0xC0111EC7u + static_cast<std::uint64_t>(node))
 {
     panic_if(numNodes < 1, "CollEngine: numNodes must be >= 1");
@@ -177,7 +177,7 @@ void
 CollEngine::enter(CollOp op, std::int64_t value, Cycle now)
 {
     ++entered_;
-    trace::onColl(ev::collEnter, node_, now);
+    probes_->coll(ev::collEnter, node_, now);
     if (excused_) {
         // Free-runner: the collective resolves immediately with a
         // degraded zero result and no wire traffic.
@@ -185,7 +185,7 @@ CollEngine::enter(CollOp op, std::int64_t value, Cycle now)
         lastDegraded_ = true;
         ++localCompleted_;
         ++degraded_;
-        trace::onColl(ev::collExit, node_, now);
+        probes_->coll(ev::collExit, node_, now);
         return;
     }
     panic_if(localSeq_ >= 0,
@@ -271,7 +271,7 @@ CollEngine::pump(Cycle now)
             if (c.probes >= cfg_.maxProbes) {
                 c.pruned = true;
                 ++pruned_;
-                trace::onColl(ev::collPeerPrune, node_, now);
+                probes_->coll(ev::collPeerPrune, node_, now);
                 markDegraded(slot, now, "child pruned");
                 maybeComplete(slot, now);
                 if (!slot.active || slot.sentUp)
@@ -280,9 +280,9 @@ CollEngine::pump(Cycle now)
                 queuePacket(makePacket(c.node, CollKind::probe,
                                        slot.seq, slot.op, now));
                 ++c.probes;
-                ++probes_;
+                ++probesSent_;
                 c.probeAt = now + jittered(cfg_.probeTimeout);
-                trace::onColl(ev::collProbeSend, node_, now);
+                probes_->coll(ev::collProbeSend, node_, now);
             }
         }
     }
@@ -308,14 +308,14 @@ CollEngine::deliver(Packet *pkt, Cycle now)
              "CollEngine::deliver: not a collective packet");
     if (pkt->corrupted) {
         // CRC fails at the NIC; the sender's retransmission repairs.
-        audit::onDrop(*pkt, node_, "coll corrupt");
+        probes_->drop(*pkt, node_, now, "coll corrupt");
         pool_.release(pkt);
         return;
     }
     if (!epochAdmit(*pkt)) {
         ++epochRejects_;
-        trace::onColl(ev::collEpochReject, node_, now);
-        audit::onDrop(*pkt, node_, "coll stale epoch");
+        probes_->coll(ev::collEpochReject, node_, now);
+        probes_->drop(*pkt, node_, now, "coll stale epoch");
         pool_.release(pkt);
         return;
     }
@@ -336,19 +336,18 @@ CollEngine::deliver(Packet *pkt, Cycle now)
         handleStatus(*pkt, now);
         break;
     }
-    audit::onConsume(*pkt, node_, "coll");
+    probes_->consume(*pkt, node_, "coll");
     pool_.release(pkt);
 }
 
 void
 CollEngine::onCrash(Cycle now)
 {
-    (void)now;
     for (auto &box : outbox_) {
         while (!box.empty()) {
             Packet *pkt = box.front();
             box.pop_front();
-            audit::onDrop(*pkt, node_, "coll crash wipe");
+            probes_->drop(*pkt, node_, now, "coll crash wipe");
             pool_.release(pkt);
         }
     }
@@ -579,9 +578,9 @@ CollEngine::sendContribution(OpenColl &slot, Cycle now)
     pkt->attempt = slot.attempt;
     queuePacket(pkt);
     if (slot.attempt == 0) {
-        trace::onColl(ev::collContribSend, node_, now);
+        probes_->coll(ev::collContribSend, node_, now);
     } else {
-        trace::onColl(ev::collContribRetx, node_, now);
+        probes_->coll(ev::collContribRetx, node_, now);
         ++retx_;
     }
     ++slot.attempt;
@@ -626,7 +625,7 @@ CollEngine::sendReleaseTo(NodeId dst, std::int32_t seq, CollOp op,
     pkt->collCount = count;
     pkt->collDegraded = degraded;
     queuePacket(pkt);
-    trace::onColl(ev::collReleaseSend, node_, now);
+    probes_->coll(ev::collReleaseSend, node_, now);
 }
 
 void
@@ -636,7 +635,7 @@ CollEngine::markDegraded(OpenColl &slot, Cycle now, const char *why)
     slot.degraded = true;
     if (!slot.degradeTraced) {
         slot.degradeTraced = true;
-        trace::onColl(ev::collDegrade, node_, now);
+        probes_->coll(ev::collDegrade, node_, now);
     }
 }
 
@@ -649,7 +648,7 @@ CollEngine::resolveLocal(std::int64_t result, bool degraded, Cycle now)
     ++localCompleted_;
     if (degraded)
         ++degraded_;
-    trace::onColl(ev::collExit, node_, now);
+    probes_->coll(ev::collExit, node_, now);
 }
 
 //===------------------------------------------------------------===//
@@ -742,7 +741,7 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
         reply->collCount = t->upCount;
         reply->collDegraded = true;
         queuePacket(reply);
-        trace::onColl(ev::collContribSend, node_, now);
+        probes_->coll(ev::collContribSend, node_, now);
         ++tombReplies_;
         return;
     }
@@ -758,7 +757,7 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
             queuePacket(makePacket(pkt.src, CollKind::status, seq,
                                    static_cast<CollOp>(pkt.collOp),
                                    now));
-            trace::onColl(ev::collStatusSend, node_, now);
+            probes_->coll(ev::collStatusSend, node_, now);
             return;
         }
         // First we hear of this sequence: the probe doubles as the
@@ -780,12 +779,12 @@ CollEngine::handleProbe(const Packet &pkt, Cycle now)
         reply->collCount = slot->upCount;
         reply->collDegraded = true;
         queuePacket(reply);
-        trace::onColl(ev::collContribSend, node_, now);
+        probes_->coll(ev::collContribSend, node_, now);
         return;
     }
     queuePacket(makePacket(pkt.src, CollKind::status, seq, slot->op,
                            now));
-    trace::onColl(ev::collStatusSend, node_, now);
+    probes_->coll(ev::collStatusSend, node_, now);
 }
 
 void

@@ -55,6 +55,7 @@ namespace nifdy
 {
 
 class InvariantChecker;
+class Probes;
 
 /** The offloaded operations. */
 enum class CollOp : std::uint8_t
@@ -181,6 +182,9 @@ class CollEngine
     bool excusedNode() const { return excused_; }
     //! @}
 
+    /** Fire observer events on @p probes (an experiment's bus). */
+    void setProbes(const Probes *probes) { probes_ = probes; }
+
     //! @name NIC side (called from the owning Nic's step path)
     //! @{
     /** Timers: contribution retransmissions, probes, pruning. */
@@ -219,7 +223,7 @@ class CollEngine
     std::uint64_t childrenPruned() const { return pruned_; }
     std::uint64_t epochRejects() const { return epochRejects_; }
     std::uint64_t collPacketsSent() const { return packetsSent_; }
-    std::uint64_t probesSent() const { return probes_; }
+    std::uint64_t probesSent() const { return probesSent_; }
     std::uint64_t tombstoneReplies() const { return tombReplies_; }
     /** Remote-driven slots evicted because the tree ran more than
      * numSlots sequences past this (lagging) node. */
@@ -333,6 +337,7 @@ class CollEngine
     int numNodes_;
     CollConfig cfg_;
     PacketPool &pool_;
+    const Probes *probes_;
     Rng rng_;
 
     std::vector<OpenColl> slots_;
@@ -363,7 +368,7 @@ class CollEngine
     std::uint64_t pruned_ = 0;
     std::uint64_t epochRejects_ = 0;
     std::uint64_t packetsSent_ = 0;
-    std::uint64_t probes_ = 0;
+    std::uint64_t probesSent_ = 0;
     std::uint64_t tombReplies_ = 0;
     std::uint64_t evictions_ = 0;
     //! @}

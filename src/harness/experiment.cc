@@ -105,6 +105,10 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
     NetworkParams np = cfg_.net;
     np.numNodes = cfg_.numNodes;
     np.seed = cfg_.seed;
+    // Every component fires its observer events on kernel_.probes():
+    // routers and NICs get the bus with setKernel(), the rest here.
+    Probes &probes = kernel_.probes();
+    pool_.setProbes(&probes);
     net_ = makeNetwork(cfg_.topology, np);
     net_->addToKernel(kernel_);
     kernel_.setWatchdogLimit(cfg_.watchdog);
@@ -121,6 +125,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
                  "nic=lossy: no other NIC recovers lost packets");
         injector_ = std::make_unique<FaultInjector>(cfg_.fault,
                                                     cfg_.seed, pool_);
+        injector_->setProbes(&probes);
         injector_->attachNetwork(*net_);
     }
 
@@ -190,6 +195,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
         if (cfg_.coll.offload) {
             auto eng = std::make_unique<CollEngine>(
                 n, cfg_.numNodes, collCfg, pool_);
+            eng->setProbes(&probes);
             nic->setCollEngine(eng.get());
             barrier_->attachEngine(n, eng.get());
             collEngines_.push_back(std::move(eng));
@@ -245,14 +251,26 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
                 engs.push_back(e.get());
             audit_->add(makeCollDisciplineChecker(std::move(engs)));
         }
-        kernel_.setAudit(audit_.get());
+        probes.attach(audit_.get());
+    }
+
+    // The tracer comes first: the anatomy and the congestion
+    // observatory render into it.
+    if (!cfg_.trace.path.empty()) {
+        TraceConfig tc = cfg_.trace;
+        if (tc.seed == 0)
+            tc.seed = cfg_.seed;
+        tracer_ = std::make_unique<Tracer>(tc);
+        probes.attach(tracer_.get());
     }
 
     if (cfg_.anatomy.enabled) {
         AnatomyConfig ac = cfg_.anatomy;
         if (ac.seed == 0)
             ac.seed = cfg_.seed;
-        anatomy_ = std::make_unique<Anatomy>(ac, cfg_.numNodes);
+        anatomy_ = std::make_unique<Anatomy>(ac, cfg_.numNodes,
+                                             tracer_.get());
+        probes.attach(anatomy_.get());
         if (audit_)
             audit_->add(
                 makeAnatomyConservationChecker(anatomy_.get()));
@@ -261,25 +279,15 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
     if (cfg_.congestion.enabled) {
         cfg_.congestion.validate();
         congestion_ = std::make_unique<CongestionObserver>(
-            cfg_.congestion, cfg_.numNodes);
+            cfg_.congestion, cfg_.numNodes, tracer_.get());
         congestion_->attach(*net_);
+        probes.attach(congestion_.get());
         // Registered after every traffic-moving component so its
         // per-cycle link-state tiling sees the cycle's final state.
         kernel_.add(congestion_.get(), "congestion");
         if (audit_)
             audit_->add(
                 makeCongestionConservationChecker(congestion_.get()));
-    }
-
-    if (!cfg_.trace.path.empty()) {
-        if (!trace::compiledIn())
-            warn("trace.path set but the trace hooks are compiled "
-                 "out (-DNIFDY_TRACE=OFF): no events will be "
-                 "recorded");
-        TraceConfig tc = cfg_.trace;
-        if (tc.seed == 0)
-            tc.seed = cfg_.seed;
-        tracer_ = std::make_unique<Tracer>(tc);
     }
 
     if (!cfg_.metrics.path.empty()) {
@@ -292,7 +300,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
     cfg_.profile.validate();
     if (cfg_.profile.enabled) {
         profiler_ = std::make_unique<Profiler>(cfg_.profile);
-        kernel_.setProfiler(profiler_.get());
+        probes.attach(profiler_.get());
     }
 }
 
@@ -304,8 +312,15 @@ Experiment::~Experiment()
         congestion_->finish(kernel_.now());
     if (metrics_)
         metrics_->finish(kernel_.now());
-    if (tracer_)
+    if (tracer_) {
+        // Rendering and writing the trace file is host work outside
+        // the kernel loop, charged to its own profiler phase.
+        Profiler::ScopedPhase emit(profiler_.get(), ProfPhase::traceEmit);
         tracer_->close();
+    }
+    // The members' own teardown may still fire events (pool and NIC
+    // releases): no observer may be reachable once one is freed.
+    kernel_.probes().detachAll();
 }
 
 void

@@ -84,8 +84,7 @@ struct ExperimentConfig
     /** Run with the invariant-audit layer attached (also enabled by
      * the NIFDY_AUDIT environment variable). */
     bool audit = false;
-    /** Packet-lifecycle tracing (active when trace.path is set and
-     * the trace hooks are compiled in; see NIFDY_TRACE). */
+    /** Packet-lifecycle tracing (active when trace.path is set). */
     TraceConfig trace;
     /** Periodic metric snapshots (active when metrics.path is set). */
     MetricsConfig metrics;
@@ -267,22 +266,15 @@ class Experiment
     bool anyCrashed_ = false;
     std::uint64_t nodeCrashes_ = 0;
     std::uint64_t nodeRestarts_ = 0;
-    /** Host-cost profiler; declared before the telemetry sinks so
-     * it outlives them -- the tracer's close() charges its file
-     * write to the profiler's trace-emit phase. */
+    /** Observers on kernel_.probes() (nullptr when disabled). The
+     * destructor flushes them -- the anatomy and congestion close-out
+     * before the tracer, since both render into its buffer -- and
+     * detaches them all before any is freed. */
     std::unique_ptr<Profiler> profiler_;
-    /** Telemetry sinks; flushed by the destructor before audit_
-     * (below) detaches. The anatomy sink precedes the tracer: its
-     * final transitions render into the trace buffer. */
     std::unique_ptr<Anatomy> anatomy_;
-    /** Congestion observatory; like the anatomy sink, its finish()
-     * (episode close-out) renders into the trace buffer, so it too
-     * precedes the tracer. */
     std::unique_ptr<CongestionObserver> congestion_;
     std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<Metrics> metrics_;
-    /** Last member: destroyed first, so teardown releases in the
-     * layers above are not audited. */
     std::unique_ptr<Audit> audit_;
 };
 

@@ -1,6 +1,5 @@
 #include "net/channel.hh"
 
-#include "sim/congestion.hh"
 #include "sim/log.hh"
 
 namespace nifdy
@@ -61,7 +60,6 @@ Channel::push(const Flit &flit, Cycle now)
     flits_.push_back({arrival, flit}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
     ++totalFlits_;
     ++classFlits_[static_cast<int>(cls)];
-    congestion::onLinkFlit(this, flit, now);
     panic_if(capacityFlits_ > 0 && inFlight() > capacityFlits_,
              "channel over capacity: %d flits in flight, "
              "credit-bounded capacity %d (%s)",

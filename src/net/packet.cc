@@ -2,8 +2,8 @@
 
 #include <sstream>
 
-#include "sim/audit.hh"
 #include "sim/log.hh"
+#include "sim/probes.hh"
 
 namespace nifdy
 {
@@ -62,6 +62,8 @@ Packet::toString() const
     return os.str();
 }
 
+PacketPool::PacketPool() : probes_(&noProbes) {}
+
 Packet *
 PacketPool::alloc()
 {
@@ -76,7 +78,7 @@ PacketPool::alloc()
     }
     p->id = nextId_++;
     ++allocated_;
-    audit::onAlloc(*p);
+    probes_->alloc(*p);
     return p;
 }
 
@@ -84,7 +86,7 @@ void
 PacketPool::release(Packet *pkt)
 {
     panic_if(pkt == nullptr, "PacketPool::release(nullptr)");
-    audit::onRelease(*pkt);
+    probes_->release(*pkt);
     ++released_;
     freelist_.push_back(pkt);
 }

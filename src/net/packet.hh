@@ -21,6 +21,8 @@
 namespace nifdy
 {
 
+class Probes;
+
 /** Wire format categories. */
 enum class PacketType : std::uint8_t
 {
@@ -161,6 +163,10 @@ struct Packet
     /** Topology scratch (e.g. torus dateline state); reset on inject. */
     std::uint32_t routeScratch = 0;
 
+    /** Lifecycle identity: the original packet's id for a
+     * retransmission clone, else id. */
+    std::uint64_t rootId() const { return cloneOf ? cloneOf : id; }
+
     /** Number of flits this packet serializes into. */
     int numFlits(int flitBytes) const
     {
@@ -194,7 +200,7 @@ struct Flit
 class PacketPool
 {
   public:
-    PacketPool() = default;
+    PacketPool();
     ~PacketPool() = default;
     PacketPool(const PacketPool &) = delete;
     PacketPool &operator=(const PacketPool &) = delete;
@@ -205,6 +211,9 @@ class PacketPool
     /** Return a packet to the freelist. */
     void release(Packet *pkt);
 
+    /** Fire alloc/release events on @p probes (an experiment's bus). */
+    void setProbes(const Probes *probes) { probes_ = probes; }
+
     std::uint64_t allocated() const { return allocated_; }
     std::uint64_t released() const { return released_; }
     /** Packets currently alive (allocated - released). */
@@ -214,6 +223,7 @@ class PacketPool
     /** Backing storage; packets are recycled through freelist_. */
     std::vector<std::unique_ptr<Packet>> arena_;
     std::vector<Packet *> freelist_;
+    const Probes *probes_;
     std::uint64_t nextId_ = 1;
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;

@@ -1,11 +1,7 @@
 #include "net/router.hh"
 
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
-#include "sim/congestion.hh"
 #include "sim/fault.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -118,7 +114,7 @@ Router::step(Cycle now)
             VirtChan &vc = ins_[p].vcs[v];
             if (!vc.active && !vc.buf.empty() &&
                 vc.buf.front().head && !tryAllocate(p, v, now))
-                anatomy::onArbLoss(*vc.buf.front().pkt, now);
+                probes_->arbLoss(*vc.buf.front().pkt, now);
         }
     }
 
@@ -202,9 +198,7 @@ Router::tryAllocate(int inPort, int vcIdx, Cycle now)
     outs_[bestPort].reqs.push_back( // nifdy:alloc-ok(vector capacity persists at numVCs high-water)
         inVcId(inPort, vcIdx));
     onAllocate(pkt, bestPort, bestVC % params_.vcsPerClass);
-    audit::onHop(pkt, id_);
-    trace::onHop(pkt, id_, now);
-    anatomy::onHop(pkt, now);
+    probes_->hop(pkt, id_, now);
     return true;
 }
 
@@ -233,13 +227,13 @@ Router::switchPass(Cycle now)
             if (vc.buf.empty())
                 continue;
             if (out.credits[vc.outVC] <= 0) {
-                congestion::onLinkStall(out.ch, now);
+                probes_->linkStall(out.ch, now);
                 continue;
             }
             Flit &front = vc.buf.front();
             NetClass cls = front.pkt->netClass;
             if (!out.ch->canPush(cls, now)) {
-                congestion::onLinkStall(out.ch, now);
+                probes_->linkStall(out.ch, now);
                 continue;
             }
             if (params_.storeAndForward && front.head) {
@@ -253,7 +247,7 @@ Router::switchPass(Cycle now)
                     }
                 }
                 if (!tailHere) {
-                    congestion::onLinkStall(out.ch, now);
+                    probes_->linkStall(out.ch, now);
                     continue;
                 }
             }
@@ -263,6 +257,7 @@ Router::switchPass(Cycle now)
             --bufferedFlits_;
             f.vc = static_cast<std::int8_t>(vc.outVC);
             out.ch->push(f, now);
+            probes_->linkFlit(out.ch, f, now);
             --out.credits[vc.outVC];
             // Return the freed input buffer slot upstream.
             ins_[p].ch->pushCredit(v, now);

@@ -91,8 +91,13 @@ class Router : public Steppable
     /** Flits forwarded through the switch in total. */
     std::uint64_t flitsSwitched() const { return flitsSwitched_; }
 
-    /** Attach the kernel for activity reporting. */
-    void setKernel(Kernel *k) { kernel_ = k; }
+    /** Attach the kernel for activity reporting, and its probe bus
+     * for observer events. */
+    void setKernel(Kernel *k)
+    {
+        kernel_ = k;
+        probes_ = &k->probes();
+    }
 
     /**
      * Register a fault injector whose filterArrival() screens every
@@ -173,6 +178,7 @@ class Router : public Steppable
     int bufferedFlits_ = 0;
     std::uint64_t flitsSwitched_ = 0;
     Kernel *kernel_ = nullptr;
+    const Probes *probes_ = &noProbes;
     FaultInjector *faults_ = nullptr;
     std::vector<int> candidateScratch_;
     /** Per-cycle switch scratch: one departure per input port. A

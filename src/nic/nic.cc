@@ -1,11 +1,7 @@
 #include "nic/nic.hh"
 
 #include "coll/coll.hh"
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
-#include "sim/congestion.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -38,7 +34,7 @@ Nic::pollReceive(Cycle now)
         return nullptr;
     Packet *pkt = arrivals_.front();
     arrivals_.pop_front();
-    anatomy::onAccept(*pkt, now);
+    probes_->accept(*pkt, now);
     onProcessorAccept(pkt, now);
     return pkt;
 }
@@ -71,7 +67,7 @@ Nic::pumpsIdle() const
 NIFDY_HOT void
 Nic::step(Cycle now)
 {
-    if (anatomy::active())
+    if (probes_->anatomy())
         classifyStalls(now);
     if (coll_ && !crashed_)
         coll_->pump(now);
@@ -114,9 +110,7 @@ Nic::onRestart(Cycle now)
 void
 Nic::crashDiscard(Packet *pkt, Cycle now, const char *why)
 {
-    audit::onDrop(*pkt, node_, why);
-    trace::onDrop(*pkt, node_, now, why);
-    anatomy::onDrop(*pkt, now);
+    probes_->drop(*pkt, node_, now, why);
     ++crashDiscards_;
     pool_.release(pkt);
 }
@@ -126,8 +120,7 @@ Nic::crash(Cycle now)
 {
     panic_if(crashed_, "node %d crashed while already down", node_);
     crashed_ = true;
-    audit::onNodeCrash(node_, now);
-    trace::onNodeCrash(node_, now);
+    probes_->nodeCrash(node_, now);
     // Delivered-but-unconsumed arrivals die with the node.
     while (!arrivals_.empty()) {
         Packet *pkt = arrivals_.front();
@@ -153,8 +146,7 @@ Nic::restart(Cycle now)
     panic_if(!crashed_, "node %d restarted while alive", node_);
     crashed_ = false;
     ++epoch_;
-    audit::onNodeRestart(node_, epoch_, now);
-    trace::onNodeRestart(node_, epoch_, now);
+    probes_->nodeRestart(node_, epoch_, now);
     onRestart(now);
     if (coll_)
         coll_->onRestart(now);
@@ -188,7 +180,7 @@ Nic::deliverArrival(Packet *pkt, Cycle now)
         panic_if(!coll_, "node %d received a collective packet with "
                          "no engine attached",
                  node_);
-        audit::onDeliver(*pkt, node_);
+        probes_->deliver(*pkt, node_, now);
         coll_->deliver(pkt, now);
         return;
     }
@@ -209,10 +201,7 @@ Nic::pushArrival(Packet *pkt, Cycle now)
     panic_if(static_cast<int>(arrivals_.size()) >= params_.arrivalFifo,
              "arrivals FIFO overflow on node %d", node_);
     arrivals_.push_back(pkt); // nifdy:alloc-ok(Ring grows to arrivalFifo then reuses)
-    audit::onDeliver(*pkt, node_);
-    trace::onDeliver(*pkt, node_, now);
-    anatomy::onDeliver(*pkt, now);
-    congestion::onDeliver(*pkt, now);
+    probes_->deliver(*pkt, node_, now);
     ++packetsDelivered_;
     wordsDelivered_ += pkt->payloadWords;
     latency_.sample(now - pkt->createdAt);
@@ -233,13 +222,13 @@ Nic::pumpInject(Cycle now)
             // the link; an empty stream may simply have nothing to
             // send this cycle.
             if (outStream_[cls].pkt)
-                congestion::onLinkStall(ch, now);
+                probes_->linkStall(ch, now);
             continue;
         }
         int vc = cls * params_.vcsPerClass;
         if (injectCredits_[vc] <= 0) {
             if (outStream_[cls].pkt)
-                congestion::onLinkStall(ch, now);
+                probes_->linkStall(ch, now);
             continue;
         }
         OutStream &os = outStream_[cls];
@@ -268,10 +257,7 @@ Nic::pumpInject(Cycle now)
         if (f.head) {
             os.pkt->injectedAt = now;
             os.pkt->srcEpoch = epoch_;
-            audit::onInject(*os.pkt, node_);
-            trace::onInject(*os.pkt, node_, now);
-            anatomy::onInject(*os.pkt, now);
-            congestion::onInject(*os.pkt, now);
+            probes_->inject(*os.pkt, node_, now);
             if (os.pkt->type != PacketType::ack &&
                 !os.pkt->ctrlOnly) {
                 ++packetsSent_;
@@ -280,6 +266,7 @@ Nic::pumpInject(Cycle now)
             }
         }
         ch->push(f, now);
+        probes_->linkFlit(ch, f, now);
         --injectCredits_[vc];
         --os.flitsLeft;
         noteActivity();

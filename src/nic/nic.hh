@@ -136,7 +136,13 @@ class Nic : public Steppable
     //! @}
 
     NodeId node() const { return node_; }
-    void setKernel(Kernel *k) { kernel_ = k; }
+    /** Attach the kernel for activity reporting, and its probe bus
+     * for observer events. */
+    void setKernel(Kernel *k)
+    {
+        kernel_ = k;
+        probes_ = &k->probes();
+    }
 
     //! @name Delivery statistics (data packets only)
     //! @{
@@ -184,9 +190,10 @@ class Nic : public Steppable
 
     /**
      * Latency-anatomy hook: attribute every queued-but-not-injected
-     * data packet to its current StallCause (anatomy::onStall).
-     * Called once per cycle from step(), only while an Anatomy sink
-     * is active, so the default off configuration pays nothing.
+     * data packet to its current StallCause (Probes::stall).
+     * Called once per cycle from step(), only while an Anatomy is
+     * attached to the probe bus, so the default off configuration
+     * pays nothing.
      */
     virtual void classifyStalls(Cycle now);
     //! @}
@@ -231,6 +238,8 @@ class Nic : public Steppable
     NodeId node_;
     NicParams params_;
     PacketPool &pool_;
+    /** The kernel's probe bus once setKernel() ran. */
+    const Probes *probes_ = &noProbes;
 
     /** Discard a packet delivered to (or stranded on) a crashed
      * node: terminal lifecycle drop + pool release. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
 #include "sim/trace.hh"
 
@@ -40,24 +39,21 @@ NifdyNic::send(Packet *pkt, Cycle now)
 {
     if (isPeerDead(pkt->dst)) {
         ++sendsToDeadPeers_;
-        audit::onDrop(*pkt, node_, "peer dead: send discarded");
-        trace::onDrop(*pkt, node_, now, "peer dead: send discarded");
+        probes_->drop(*pkt, node_, now, "peer dead: send discarded");
         pool_.release(pkt);
         noteActivity();
         return;
     }
     panic_if(!canSend(*pkt), "send on full NIFDY pool, node %d", node_);
     pkt->createdAt = now;
-    audit::onSend(*pkt, node_);
-    trace::onSend(*pkt, node_, now);
-    anatomy::onSend(*pkt, now);
+    probes_->send(*pkt, node_, now);
     sendPool_.push_back({pkt, poolOrder_++});
     // Record a deferral when protocol admission (OPT slot, window
     // room, per-destination order) cannot be immediate; the matching
     // opt.admit/window.admit event closes the gap on the timeline.
-    if (trace::active() && !pkt->noAck &&
+    if (probes_->tracer() && !pkt->noAck &&
         !eligibleScalar(sendPool_.back(), sendPool_.size() - 1))
-        trace::onOptDefer(*pkt, node_, now);
+        probes_->mark(ev::optDefer, *pkt, node_, now);
 }
 
 NIFDY_HOT void
@@ -230,7 +226,7 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
                 out_.exitSent = true;
         }
         ++bulkPacketsSent_;
-        trace::onWindowAdmit(*pkt, node_, now);
+        probes_->mark(ev::windowAdmit, *pkt, node_, now);
         onDataInjected(pkt, now);
         return pkt;
     }
@@ -254,7 +250,7 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
     optSince_.push_back(now);
     panic_if(static_cast<int>(opt_.size()) > cfg_.opt,
              "OPT overflow on node %d", node_);
-    trace::onOptAdmit(*pkt, node_, now);
+    probes_->mark(ev::optAdmit, *pkt, node_, now);
     onDataInjected(pkt, now);
     return pkt;
 }
@@ -339,7 +335,7 @@ NifdyNic::tryPiggyback(Packet *pkt, Cycle now)
         pkt->ackWindow = ack->ackWindow;
         pkt->ackEpoch = ack->ackEpoch;
         ackQueue_.erase(i);
-        audit::onConsume(*ack, node_, "merged into piggyback header");
+        probes_->consume(*ack, node_, "merged into piggyback header");
         pool_.release(ack);
         ++acksPiggybacked_;
         return;
@@ -383,11 +379,8 @@ NifdyNic::makeAck(const Packet &dataPkt, Cycle now, bool allowFreshGrant)
                 for (Packet *&slot : d.slots) {
                     if (!slot)
                         continue;
-                    audit::onDrop(*slot, node_,
+                    probes_->drop(*slot, node_, now,
                                   "dialog restarted: slot discarded");
-                    trace::onDrop(*slot, node_, now,
-                                  "dialog restarted: slot discarded");
-                    anatomy::onDrop(*slot, now);
                     pool_.release(slot);
                     slot = nullptr;
                 }
@@ -476,9 +469,7 @@ NifdyNic::dropInDialogsFrom(NodeId peer, Cycle now, const char *why)
         for (Packet *&slot : dlg.slots) {
             if (!slot)
                 continue;
-            audit::onDrop(*slot, node_, why);
-            trace::onDrop(*slot, node_, now, why);
-            anatomy::onDrop(*slot, now);
+            probes_->drop(*slot, node_, now, why);
             pool_.release(slot);
             slot = nullptr;
             ++released;
@@ -560,9 +551,7 @@ NifdyNic::abandonPeer(NodeId peer, Cycle now)
         Packet *p = sendPool_[i - 1].pkt;
         if (p->dst != peer)
             continue;
-        audit::onDrop(*p, node_, "peer dead: queued send discarded");
-        trace::onDrop(*p, node_, now, "peer dead: queued send discarded");
-        anatomy::onDrop(*p, now);
+        probes_->drop(*p, node_, now, "peer dead: queued send discarded");
         pool_.release(p);
         sendPool_.erase(sendPool_.begin() +
                         static_cast<std::ptrdiff_t>(i - 1));
@@ -571,7 +560,7 @@ NifdyNic::abandonPeer(NodeId peer, Cycle now)
     for (std::size_t i = 0; i < ackQueue_.size();) {
         Packet *ack = ackQueue_[i];
         if (ack->dst == peer) {
-            audit::onDrop(*ack, node_,
+            probes_->drop(*ack, node_, now,
                           "peer dead: queued ack discarded");
             pool_.release(ack);
             ackQueue_.erase(i);
@@ -593,7 +582,7 @@ NifdyNic::issueScalarAck(Packet *pkt, Cycle now)
     if (cfg_.piggybackAcks && pkt->expectsReply)
         ack->holdUntil = now + cfg_.piggybackWait;
     queueAck(ack);
-    trace::onAckIssue(*pkt, node_, now);
+    probes_->mark(ev::ackIssue, *pkt, node_, now);
 }
 
 void
@@ -602,10 +591,7 @@ NifdyNic::rejectStaleEpoch(Packet *pkt, Cycle now, const char *why)
     if (pkt->type == PacketType::scalar)
         consumeReservation(); // canAccept() claimed a FIFO slot
     ++epochRejects_;
-    trace::onEpochReject(*pkt, node_, now);
-    audit::onDrop(*pkt, node_, why);
-    trace::onDrop(*pkt, node_, now, why);
-    anatomy::onEpochReject(*pkt, now);
+    probes_->epochReject(*pkt, node_, now, why);
     pool_.release(pkt);
     noteActivity();
 }
@@ -653,7 +639,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
 
     if (pkt->type == PacketType::ack) {
         applyAck(*pkt, now);
-        audit::onConsume(*pkt, node_, "ack absorbed");
+        probes_->consume(*pkt, node_, "ack absorbed");
         pool_.release(pkt);
         return;
     }
@@ -669,9 +655,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         // The subclass has already queued the repeated ack.
         if (pkt->type == PacketType::scalar)
             consumeReservation();
-        audit::onDrop(*pkt, node_, "duplicate filtered");
-        trace::onDrop(*pkt, node_, now, "duplicate filtered");
-        anatomy::onDrop(*pkt, now);
+        probes_->drop(*pkt, node_, now, "duplicate filtered");
         pool_.release(pkt);
         return;
     }
@@ -699,9 +683,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
             queueAck(makeDialogReject(*pkt, now));
             why = "unknown bulk dialog (cold receiver)";
         }
-        audit::onDrop(*pkt, node_, why);
-        trace::onDrop(*pkt, node_, now, why);
-        anatomy::onDrop(*pkt, now);
+        probes_->drop(*pkt, node_, now, why);
         pool_.release(pkt);
         noteActivity();
         return;
@@ -720,7 +702,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
     panic_if(dlg.slots[slot] != nullptr,
              "bulk window slot collision on node %d", node_);
     dlg.lastProgress = now;
-    anatomy::onReorder(*pkt, now);
+    probes_->reorder(*pkt, now);
     dlg.slots[slot] = pkt;
     ++dlg.buffered;
     drainDialog(d, now);
@@ -747,12 +729,11 @@ NifdyNic::drainDialog(int d, Cycle now)
         if (pkt->bulkExit)
             dlg.exitDelivered = true;
         if (pkt->ctrlOnly) {
-            audit::onConsume(*pkt, node_, "bulk control absorbed");
+            probes_->consume(*pkt, node_, "bulk control absorbed");
             pool_.release(pkt);
         } else {
-            if (trace::active())
-                dlg.traceAckPending.push_back(
-                    pkt->cloneOf ? pkt->cloneOf : pkt->id);
+            if (probes_->tracer())
+                dlg.traceAckPending.push_back(pkt->rootId());
             pushArrival(pkt, now);
         }
         noteActivity();
@@ -788,7 +769,7 @@ NifdyNic::maybeAckDialog(int d, Cycle now)
     dlg.ackedAt = dlg.delivered;
     queueAck(ack);
     for (std::uint64_t rootId : dlg.traceAckPending)
-        trace::onAckIssueId(rootId, node_, now);
+        probes_->markId(ev::ackIssue, rootId, node_, now);
     dlg.traceAckPending.clear();
 
     if (dlg.exitDelivered && dlg.buffered == 0) {
@@ -931,7 +912,7 @@ NifdyNic::classifyStalls(Cycle now)
 {
     for (std::size_t i = 0; i < sendPool_.size(); ++i) {
         const PoolEntry &e = sendPool_[i];
-        anatomy::onStall(*e.pkt, poolStallCause(e, i), now);
+        probes_->stall(*e.pkt, poolStallCause(e, i), now);
     }
 }
 

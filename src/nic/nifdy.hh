@@ -385,7 +385,7 @@ class NifdyNic : public Nic
          * arrival; the receiver-side reclaim clock. */
         Cycle lastProgress = 0;
         /** Root ids delivered since the last cumulative ack, kept
-         * only while a Tracer is active so each bulk packet's chain
+         * only while a Tracer is attached so each bulk packet's chain
          * gets an explicit ack event. */
         std::vector<std::uint64_t> traceAckPending;
 

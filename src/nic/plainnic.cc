@@ -1,9 +1,6 @@
 #include "nic/plainnic.hh"
 
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -28,9 +25,7 @@ BufferedNic::send(Packet *pkt, Cycle now)
 {
     panic_if(!canSend(*pkt), "send on full NIC %d", node_);
     pkt->createdAt = now;
-    audit::onSend(*pkt, node_);
-    trace::onSend(*pkt, node_, now);
-    anatomy::onSend(*pkt, now);
+    probes_->send(*pkt, node_, now);
     sendQueue_.push_back(pkt); // nifdy:alloc-ok(Ring grows to outQueue high-water then reuses)
 }
 
@@ -38,11 +33,11 @@ NIFDY_HOT void
 BufferedNic::classifyStalls(Cycle now)
 {
     for (Packet *pkt : sendQueue_)
-        anatomy::onStall(*pkt,
-                         injectBusyWithColl(pkt->netClass)
-                             ? StallCause::collDefer
-                             : StallCause::injectStall,
-                         now);
+        probes_->stall(*pkt,
+                       injectBusyWithColl(pkt->netClass)
+                           ? StallCause::collDefer
+                           : StallCause::injectStall,
+                       now);
 }
 
 bool

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -126,8 +123,7 @@ LossyNifdyNic::retransmit(Snapshot &snap, Cycle now)
     p->corrupted = false;
     retxQueue_.push_back(p); // nifdy:alloc-ok(Ring grows to high-water then reuses)
     ++retransmissions_;
-    audit::onRetransmit(*p, node_);
-    trace::onRetransmit(*p, node_, now);
+    probes_->retransmit(*p, node_, now);
     noteActivity();
 }
 
@@ -151,9 +147,7 @@ LossyNifdyNic::purgeRetxState(NodeId peer, Cycle now, bool bulkOnly,
         Packet *p = retxQueue_[i];
         if (p->dst == peer &&
             (!bulkOnly || p->type == PacketType::bulk)) {
-            audit::onDrop(*p, node_, why);
-            trace::onDrop(*p, node_, now, why);
-            anatomy::onDrop(*p, now);
+            probes_->drop(*p, node_, now, why);
             pool_.release(p);
             retxQueue_.erase(i);
             ++abandoned_;
@@ -230,9 +224,7 @@ LossyNifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         ++corruptDropped_;
         if (pkt->type == PacketType::scalar)
             consumeReservation(); // canAccept() claimed a slot
-        audit::onDrop(*pkt, node_, "corrupted in fabric (CRC)");
-        trace::onDrop(*pkt, node_, now, "corrupted in fabric (CRC)");
-        anatomy::onDrop(*pkt, now);
+        probes_->drop(*pkt, node_, now, "corrupted in fabric (CRC)");
         pool_.release(pkt);
         noteActivity();
         return;
@@ -241,9 +233,7 @@ LossyNifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         ++packetsDropped_;
         if (pkt->type == PacketType::scalar)
             consumeReservation(); // canAccept() claimed a slot
-        audit::onDrop(*pkt, node_, "fault-injected drop");
-        trace::onDrop(*pkt, node_, now, "fault-injected drop");
-        anatomy::onDrop(*pkt, now);
+        probes_->drop(*pkt, node_, now, "fault-injected drop");
         pool_.release(pkt);
         noteActivity();
         return;

@@ -13,31 +13,6 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Tracer stack). */
-std::vector<Anatomy *> &
-anatomyStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<Anatomy *> stack;
-    return stack;
-}
-
-/** Deterministic 64-bit mix (splitmix64 finalizer). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-rootIdOf(const Packet &pkt)
-{
-    return pkt.cloneOf ? pkt.cloneOf : pkt.id;
-}
-
 /** Trace-event names (static storage; taxonomy per DESIGN.md §8). */
 constexpr const char *sliceNames[numStallCauses] = {
     "anatomy.stall.swsend", "anatomy.stall.ackwait",
@@ -114,18 +89,11 @@ makeAnatomyConservationChecker(const Anatomy *anatomy)
     return std::make_unique<AnatomyConservationChecker>(anatomy);
 }
 
-Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
+Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes, Tracer *tracer)
+    : cfg_(cfg), sampler_(cfg.sampleRate, cfg.seed), tracer_(tracer)
 {
     cfg_.validate();
     panic_if(numNodes < 1, "anatomy needs >= 1 node");
-    if (cfg_.sampleRate >= 1.0) {
-        sampleThreshold_ = ~std::uint64_t(0);
-    } else if (cfg_.sampleRate <= 0.0) {
-        sampleThreshold_ = 0;
-    } else {
-        sampleThreshold_ = std::uint64_t(
-            cfg_.sampleRate * double(~std::uint64_t(0)));
-    }
     for (int i = 0; i < numStallCauses; ++i) {
         dists_[i] = Distribution(std::string("anatomy.stall.") +
                                  stallCauseSlugs[i]);
@@ -137,35 +105,6 @@ Anatomy::Anatomy(const AnatomyConfig &cfg, int numNodes) : cfg_(cfg)
     nodeTotals_.resize(static_cast<std::size_t>(numNodes));
     nodePackets_.assign(static_cast<std::size_t>(numNodes), 0);
     nodeLatency_.assign(static_cast<std::size_t>(numNodes), 0);
-    anatomyStack().push_back(this);
-}
-
-Anatomy::~Anatomy()
-{
-    auto &stack = anatomyStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-}
-
-Anatomy *
-Anatomy::current()
-{
-    auto &stack = anatomyStack();
-    return stack.empty() ? nullptr : stack.back();
-}
-
-bool
-Anatomy::sampledId(std::uint64_t rootId) const
-{
-    if (sampleThreshold_ == ~std::uint64_t(0))
-        return true;
-    if (sampleThreshold_ == 0)
-        return false;
-    return mix64(rootId ^ cfg_.seed) <= sampleThreshold_;
 }
 
 std::uint64_t
@@ -182,7 +121,7 @@ Anatomy::find(const Packet &pkt)
 {
     if (pkt.type == PacketType::ack || pkt.ctrlOnly)
         return nullptr;
-    auto it = recs_.find(rootIdOf(pkt));
+    auto it = recs_.find(pkt.rootId());
     return it == recs_.end() ? nullptr : &it->second;
 }
 
@@ -215,15 +154,12 @@ Anatomy::transition(Rec &r, const Packet &pkt, StallCause cause,
     ++live_[newIdx];
     if (pkt.type == PacketType::bulk)
         r.bulk = true;
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            std::uint64_t root = rootIdOf(pkt);
-            if (now > from)
-                t->anatomySlice(sliceNames[oldIdx], root, from, now,
-                                r.src);
-            t->counterSample(counterNames[oldIdx], now, live_[oldIdx]);
-            t->counterSample(counterNames[newIdx], now, live_[newIdx]);
-        }
+    if (tracer_) {
+        if (now > from)
+            tracer_->anatomySlice(sliceNames[oldIdx], pkt.rootId(), from,
+                                  now, r.src);
+        tracer_->counterSample(counterNames[oldIdx], now, live_[oldIdx]);
+        tracer_->counterSample(counterNames[newIdx], now, live_[newIdx]);
     }
 }
 
@@ -232,21 +168,18 @@ Anatomy::onSend(const Packet &pkt, Cycle now)
 {
     if (finished_ || pkt.type == PacketType::ack || pkt.ctrlOnly)
         return;
-    std::uint64_t root = rootIdOf(pkt);
-    if (pkt.cloneOf || !sampledId(root))
+    if (pkt.cloneOf || !sampler_.keep(pkt.id))
         return; // clones join their original's record at inject
-    Rec &r = recs_[root];
+    Rec &r = recs_[pkt.id];
     r.start = now;
     r.last = now;
     r.cur = StallCause::swSend;
     r.src = pkt.src;
     ++live_[static_cast<int>(StallCause::swSend)];
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current())
-            t->counterSample(
-                counterNames[static_cast<int>(StallCause::swSend)],
-                now, live_[static_cast<int>(StallCause::swSend)]);
-    }
+    if (tracer_)
+        tracer_->counterSample(
+            counterNames[static_cast<int>(StallCause::swSend)], now,
+            live_[static_cast<int>(StallCause::swSend)]);
 }
 
 void
@@ -310,7 +243,7 @@ Anatomy::onAccept(const Packet &pkt, Cycle now)
 {
     if (pkt.type == PacketType::ack || pkt.ctrlOnly)
         return;
-    std::uint64_t root = rootIdOf(pkt);
+    std::uint64_t root = pkt.rootId();
     auto it = recs_.find(root);
     if (it == recs_.end())
         return;
@@ -352,14 +285,12 @@ Anatomy::onAccept(const Packet &pkt, Cycle now)
         nodeLatency_[static_cast<std::size_t>(r.src)] += e2e;
     }
 
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            if (now > from)
-                t->anatomySlice(sliceNames[lastIdx], root, from, now,
-                                r.src);
-            t->counterSample(counterNames[lastIdx], now,
-                             live_[lastIdx]);
-        }
+    if (tracer_) {
+        if (now > from)
+            tracer_->anatomySlice(sliceNames[lastIdx], root, from, now,
+                                  r.src);
+        tracer_->counterSample(counterNames[lastIdx], now,
+                               live_[lastIdx]);
     }
     recs_.erase(it);
 }

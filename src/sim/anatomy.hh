@@ -14,11 +14,10 @@
  * and in aggregate by the audit layer's latency-anatomy checker and
  * by tools/analyze_latency.py --check-conservation in CI.
  *
- * Cost model mirrors the trace layer (trace.hh), minus the compile
- * gate: the anatomy::on* shims below cost one pointer test while no
- * Anatomy sink is active (anatomy.enabled defaults to off), so the
- * disabled hot path is unchanged and anatomy-off runs produce
- * byte-identical reports. When active, per-lifecycle sampling
+ * Cost model: the Anatomy is a probe-bus sink (sim/probes.hh), so
+ * while none is attached (anatomy.enabled defaults to off) each event
+ * costs the bus's one inlined test, and anatomy-off runs produce
+ * byte-identical reports. When attached, per-lifecycle sampling
  * (anatomy.sampleRate, keyed on a deterministic hash of the packet's
  * root id so retransmission clones share their original's record)
  * bounds the bookkeeping.
@@ -54,6 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
@@ -63,6 +63,7 @@ namespace nifdy
 
 struct Packet;
 class InvariantChecker;
+class Tracer;
 
 /**
  * Where a sampled packet is spending the current cycle. Exactly one
@@ -119,7 +120,7 @@ stallCauseSlug(StallCause c)
 /** Runtime knobs (CLI: anatomy.enabled / anatomy.sampleRate / ...). */
 struct AnatomyConfig
 {
-    /** Master switch; off = no sink, hooks cost one pointer test. */
+    /** Master switch; off = no sink attached to the probe bus. */
     bool enabled = false;
     /** Fraction of packet lifecycles attributed, in [0, 1]. */
     double sampleRate = 1.0;
@@ -131,26 +132,19 @@ struct AnatomyConfig
 };
 
 /**
- * The attribution sink. Constructing an Anatomy makes it the current
- * sink (a stack is kept so nested scopes in tests behave);
- * destroying it pops it. finish() closes the books: records still
+ * The attribution sink. finish() closes the books: records still
  * open are discarded (counted, never sampled).
  */
 class Anatomy
 {
   public:
-    Anatomy(const AnatomyConfig &cfg, int numNodes);
-    ~Anatomy();
+    /** Segments and live-cause counters render into @p tracer when
+     * it is not null. */
+    Anatomy(const AnatomyConfig &cfg, int numNodes, Tracer *tracer);
     Anatomy(const Anatomy &) = delete;
     Anatomy &operator=(const Anatomy &) = delete;
 
-    /** The active sink, or nullptr when attribution is off. */
-    static Anatomy *current();
-
-    /** True when root id @p rootId's lifecycle is sampled. */
-    bool sampledId(std::uint64_t rootId) const;
-
-    //! @name Recording (called through the anatomy::on* shims)
+    //! @name Recording (called through the probe bus)
     //! @{
     /** App packet handed to the NIC: open a record in swSend. */
     void onSend(const Packet &pkt, Cycle now);
@@ -256,8 +250,9 @@ class Anatomy
     void closeSegment(Rec &r, Cycle now);
 
     AnatomyConfig cfg_;
-    /** sampleRate mapped onto the u64 hash range. */
-    std::uint64_t sampleThreshold_ = 0;
+    /** Lifecycles attributed, by root id (anatomy.sampleRate). */
+    IdSampler sampler_;
+    Tracer *tracer_;
     bool finished_ = false;
 
     std::unordered_map<std::uint64_t, Rec> recs_;
@@ -282,100 +277,6 @@ class Anatomy
  */
 std::unique_ptr<InvariantChecker>
 makeAnatomyConservationChecker(const Anatomy *anatomy);
-
-/**
- * Observer hook shims, mirroring trace::on*: one pointer test while
- * no Anatomy is active. Field inspection (sampling, ack/ctrl
- * filtering) happens inside Anatomy, keeping this header free of a
- * packet.hh dependency.
- */
-namespace anatomy
-{
-
-inline Anatomy *
-sink()
-{
-    return Anatomy::current();
-}
-
-/** True when a sink is attached (gates classifyStalls walks). */
-inline bool
-active()
-{
-    return sink() != nullptr;
-}
-
-inline void
-onSend(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onSend(pkt, now);
-}
-
-inline void
-onStall(const Packet &pkt, StallCause cause, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onStall(pkt, cause, now);
-}
-
-inline void
-onInject(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onInject(pkt, now);
-}
-
-inline void
-onArbLoss(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onArbLoss(pkt, now);
-}
-
-inline void
-onHop(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onHop(pkt, now);
-}
-
-inline void
-onDrop(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onDrop(pkt, now);
-}
-
-inline void
-onEpochReject(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onEpochReject(pkt, now);
-}
-
-inline void
-onReorder(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onReorder(pkt, now);
-}
-
-inline void
-onDeliver(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onDeliver(pkt, now);
-}
-
-inline void
-onAccept(const Packet &pkt, Cycle now)
-{
-    if (Anatomy *a = sink())
-        a->onAccept(pkt, now);
-}
-
-} // namespace anatomy
 
 } // namespace nifdy
 

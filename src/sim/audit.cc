@@ -564,14 +564,6 @@ class EpochDisciplineChecker : public InvariantChecker
     std::unordered_map<NodeId, std::uint32_t> epochOf_;
 };
 
-std::vector<Audit *> &
-auditStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<Audit *> stack;
-    return stack;
-}
-
 } // namespace
 
 //===------------------------------------------------------------===//
@@ -596,29 +588,9 @@ struct Audit::Trail
     }
 };
 
-Audit::Audit() : trails_(std::make_unique<Trail>())
-{
-    auditStack().push_back(this);
-}
+Audit::Audit() : trails_(std::make_unique<Trail>()) {}
 
-Audit::~Audit()
-{
-    std::vector<Audit *> &stack = auditStack();
-    for (std::size_t i = stack.size(); i > 0; --i) {
-        if (stack[i - 1] == this) {
-            stack.erase(stack.begin() +
-                        static_cast<std::ptrdiff_t>(i - 1));
-            break;
-        }
-    }
-}
-
-Audit *
-Audit::current()
-{
-    std::vector<Audit *> &stack = auditStack();
-    return stack.empty() ? nullptr : stack.back();
-}
+Audit::~Audit() = default;
 
 bool
 Audit::envEnabled()

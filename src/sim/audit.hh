@@ -8,16 +8,15 @@
  * credit-bounded buffer occupancy everywhere, and in-order delivery
  * per (source, destination) even over adaptive networks. The audit
  * layer checks them continuously instead of only at end of run: an
- * Audit object is a registry of InvariantChecker objects that the
- * Kernel steps once per cycle (Kernel::setAudit), fed by small
- * observer hooks in PacketPool, Channel, Router, and the NICs.
+ * Audit object is a registry of InvariantChecker objects, attached
+ * to an experiment's probe bus (sim/probes.hh). The bus feeds it the
+ * lifecycle events of PacketPool, Router, FaultInjector, the NICs
+ * and the collective engines, and the Kernel runs its polled checks
+ * once per cycle.
  *
- * Cost model:
- *  - compiled out entirely with -DNIFDY_AUDIT=OFF (the hook shims
- *    below become empty inline functions);
- *  - when compiled in, a hook costs one pointer test until an Audit
- *    is activated at run time (Experiment/harness `audit` flag or
- *    the NIFDY_AUDIT=1 environment variable).
+ * Cost model: while no Audit is attached, each event costs the bus's
+ * one inlined test. An Audit is attached by the `audit` experiment
+ * knob or the NIFDY_AUDIT=1 environment variable.
  *
  * On a violation the offending checker panics with the full
  * provenance trail of the packet involved (alloc, send, inject,
@@ -26,10 +25,6 @@
 
 #ifndef NIFDY_SIM_AUDIT_HH
 #define NIFDY_SIM_AUDIT_HH
-
-#ifndef NIFDY_AUDIT_ENABLED
-#define NIFDY_AUDIT_ENABLED 0
-#endif
 
 #include <cstdint>
 #include <memory>
@@ -118,9 +113,6 @@ class InvariantChecker
  * The audit registry: owns the checkers, fans simulation events out
  * to them, keeps per-packet provenance trails, and knows which
  * components (NICs, routers, channels) the polled checks inspect.
- *
- * Constructing an Audit makes it the current event sink (a stack is
- * kept so nested scopes in tests behave); destroying it pops it.
  */
 class Audit
 {
@@ -129,9 +121,6 @@ class Audit
     ~Audit();
     Audit(const Audit &) = delete;
     Audit &operator=(const Audit &) = delete;
-
-    /** The active event sink, or nullptr when auditing is off. */
-    static Audit *current();
 
     /** True when the NIFDY_AUDIT environment variable enables
      * auditing at run time (value not "0"/"off"/""). */
@@ -167,7 +156,7 @@ class Audit
     }
     //! @}
 
-    //! @name Event fan-out (called through the shims below)
+    //! @name Event fan-out (called through the probe bus)
     //! @{
     void alloc(const Packet &pkt);
     void send(const Packet &pkt, NodeId node);
@@ -240,145 +229,6 @@ class Audit
     std::uint64_t nodeCrashes_ = 0;
     std::uint64_t nodeRestarts_ = 0;
 };
-
-/**
- * Observer hook shims. Components call these unconditionally; they
- * compile to nothing with -DNIFDY_AUDIT=OFF and to one pointer test
- * while no Audit is active.
- */
-namespace audit
-{
-
-inline Audit *
-sink()
-{
-#if NIFDY_AUDIT_ENABLED
-    return Audit::current();
-#else
-    return nullptr;
-#endif
-}
-
-inline void
-onAlloc(const Packet &pkt)
-{
-    if (Audit *a = sink())
-        a->alloc(pkt);
-    (void)pkt;
-}
-
-inline void
-onSend(const Packet &pkt, NodeId node)
-{
-    if (Audit *a = sink())
-        a->send(pkt, node);
-    (void)pkt;
-    (void)node;
-}
-
-inline void
-onInject(const Packet &pkt, NodeId node)
-{
-    if (Audit *a = sink())
-        a->inject(pkt, node);
-    (void)pkt;
-    (void)node;
-}
-
-inline void
-onHop(const Packet &pkt, int routerId)
-{
-    if (Audit *a = sink())
-        a->hop(pkt, routerId);
-    (void)pkt;
-    (void)routerId;
-}
-
-inline void
-onDeliver(const Packet &pkt, NodeId node)
-{
-    if (Audit *a = sink())
-        a->deliver(pkt, node);
-    (void)pkt;
-    (void)node;
-}
-
-inline void
-onConsume(const Packet &pkt, NodeId node, const char *why)
-{
-    if (Audit *a = sink())
-        a->consume(pkt, node, why);
-    (void)pkt;
-    (void)node;
-    (void)why;
-}
-
-inline void
-onDrop(const Packet &pkt, NodeId node, const char *why)
-{
-    if (Audit *a = sink())
-        a->drop(pkt, node, why);
-    (void)pkt;
-    (void)node;
-    (void)why;
-}
-
-inline void
-onFabricDrop(const Packet &pkt, int routerId, const char *why)
-{
-    if (Audit *a = sink())
-        a->fabricDrop(pkt, routerId, why);
-    (void)pkt;
-    (void)routerId;
-    (void)why;
-}
-
-inline void
-onCorrupt(const Packet &pkt, int routerId)
-{
-    if (Audit *a = sink())
-        a->corrupt(pkt, routerId);
-    (void)pkt;
-    (void)routerId;
-}
-
-inline void
-onRetransmit(const Packet &pkt, NodeId node)
-{
-    if (Audit *a = sink())
-        a->retransmit(pkt, node);
-    (void)pkt;
-    (void)node;
-}
-
-inline void
-onRelease(const Packet &pkt)
-{
-    if (Audit *a = sink())
-        a->release(pkt);
-    (void)pkt;
-}
-
-inline void
-onNodeCrash(NodeId node, Cycle now)
-{
-    if (Audit *a = sink())
-        a->nodeCrash(node, now);
-    (void)node;
-    (void)now;
-}
-
-inline void
-onNodeRestart(NodeId node, std::uint32_t epoch, Cycle now)
-{
-    if (Audit *a = sink())
-        a->nodeRestart(node, epoch, now);
-    (void)node;
-    (void)epoch;
-    (void)now;
-}
-
-} // namespace audit
 
 } // namespace nifdy
 

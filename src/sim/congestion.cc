@@ -16,15 +16,6 @@ namespace nifdy
 namespace
 {
 
-/** Active-sink stack (mirrors the Anatomy stack). */
-std::vector<CongestionObserver *> &
-congestionStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<CongestionObserver *> stack;
-    return stack;
-}
-
 /** Trace-event names (static storage; taxonomy per DESIGN.md §8). */
 constexpr const char *episodeSliceName = "congestion.episode";
 constexpr const char *congestedCounterName = "congestion.links.congested";
@@ -102,30 +93,11 @@ makeCongestionConservationChecker(const CongestionObserver *obs)
 }
 
 CongestionObserver::CongestionObserver(const CongestionConfig &cfg,
-                                       int numNodes)
-    : cfg_(cfg)
+                                       int numNodes, Tracer *tracer)
+    : cfg_(cfg), tracer_(tracer)
 {
     cfg_.validate();
     panic_if(numNodes < 1, "congestion observer needs >= 1 node");
-    congestionStack().push_back(this);
-}
-
-CongestionObserver::~CongestionObserver()
-{
-    auto &stack = congestionStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-}
-
-CongestionObserver *
-CongestionObserver::current()
-{
-    auto &stack = congestionStack();
-    return stack.empty() ? nullptr : stack.back();
 }
 
 void
@@ -292,11 +264,8 @@ CongestionObserver::onDeliver(const Packet &pkt, Cycle now)
 void
 CongestionObserver::emitCongestedCounter(Cycle now)
 {
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current())
-            t->counterSample(congestedCounterName, now,
-                             openEpisodes_);
-    }
+    if (tracer_)
+        tracer_->counterSample(congestedCounterName, now, openEpisodes_);
 }
 
 void
@@ -369,14 +338,9 @@ CongestionObserver::closeEpisode(int link, Cycle end)
         }
     }
 
-    if (trace::compiledIn()) {
-        if (Tracer *t = Tracer::current()) {
-            if (e.close > e.open)
-                t->anatomySlice(episodeSliceName,
-                                congestionChainId(link), e.open,
-                                e.close, link);
-        }
-    }
+    if (tracer_ && e.close > e.open)
+        tracer_->anatomySlice(episodeSliceName, congestionChainId(link),
+                              e.open, e.close, link);
     emitCongestedCounter(end);
 }
 

@@ -30,10 +30,10 @@
  * latency over the flow's own minimum-latency isolation baseline)
  * is at least congestion.victimSlowdown.
  *
- * Cost model mirrors anatomy.hh: the congestion::on* shims below
- * cost one pointer test while no observer is active
- * (congestion.enabled defaults to off), so congestion-off runs
- * produce byte-identical reports. When active, the hooks are
+ * Cost model: the observer is a probe-bus sink (sim/probes.hh), so
+ * while none is attached (congestion.enabled defaults to off) each
+ * event costs the bus's one inlined test, and congestion-off runs
+ * produce byte-identical reports. When attached, the hooks are
  * NIFDY_HOT and allocation-free after warmup: the per-(link,flow)
  * window accumulators are zeroed rather than cleared so their keys
  * persist, and episode flow lists are only materialized at the
@@ -49,7 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/kernel.hh"
+#include "sim/steppable.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
 
@@ -61,11 +61,12 @@ struct Flit;
 class Channel;
 class Network;
 class InvariantChecker;
+class Tracer;
 
 /** Runtime knobs (CLI: congestion.enabled / congestion.window / ...). */
 struct CongestionConfig
 {
-    /** Master switch; off = no sink, hooks cost one pointer test. */
+    /** Master switch; off = no sink attached to the probe bus. */
     bool enabled = false;
     /** Accounting window length in cycles. */
     Cycle window = 1024;
@@ -123,9 +124,8 @@ struct CongestionEpisode
 };
 
 /**
- * The observatory sink. Constructing one makes it the current sink
- * (a stack is kept so nested scopes in tests behave); destroying it
- * pops it. finish() closes still-open episodes and stops recording.
+ * The observatory sink. finish() closes still-open episodes and
+ * stops recording.
  */
 class CongestionObserver : public Steppable
 {
@@ -192,13 +192,12 @@ class CongestionObserver : public Steppable
         }
     };
 
-    CongestionObserver(const CongestionConfig &cfg, int numNodes);
-    ~CongestionObserver() override;
+    /** Episode slices and the congested-links counter render into
+     * @p tracer when one is given. */
+    CongestionObserver(const CongestionConfig &cfg, int numNodes,
+                       Tracer *tracer = nullptr);
     CongestionObserver(const CongestionObserver &) = delete;
     CongestionObserver &operator=(const CongestionObserver &) = delete;
-
-    /** The active sink, or nullptr when observation is off. */
-    static CongestionObserver *current();
 
     /** Enumerate @p net's channels: inject/eject ports get
      * "inject<n>"/"eject<n>" labels, fabric links "internal<i>". */
@@ -211,7 +210,7 @@ class CongestionObserver : public Steppable
     /** Per-cycle link-state tiling; runs after every component. */
     void step(Cycle now) override;
 
-    //! @name Recording (called through the congestion::on* shims)
+    //! @name Recording (called through the probe bus)
     //! @{
     /** A component wanted to push on @p ch this cycle and could not
      * (no credits, serializer busy, or a SAF tail wait). */
@@ -300,6 +299,7 @@ class CongestionObserver : public Steppable
     void emitCongestedCounter(Cycle now);
 
     CongestionConfig cfg_;
+    Tracer *tracer_;
     bool finished_ = false;
     int flitBytes_ = bytesPerWord;
 
@@ -337,58 +337,6 @@ class CongestionObserver : public Steppable
  */
 std::unique_ptr<InvariantChecker>
 makeCongestionConservationChecker(const CongestionObserver *obs);
-
-/**
- * Observer hook shims, mirroring anatomy::on*: one pointer test
- * while no CongestionObserver is active. Field inspection (ack/ctrl
- * filtering, link lookup) happens inside the observer, keeping this
- * header free of packet.hh/channel.hh dependencies.
- */
-namespace congestion
-{
-
-inline CongestionObserver *
-sink()
-{
-    return CongestionObserver::current();
-}
-
-/** True when a sink is attached. */
-inline bool
-active()
-{
-    return sink() != nullptr;
-}
-
-inline void
-onLinkStall(const Channel *ch, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onLinkStall(ch, now);
-}
-
-inline void
-onLinkFlit(const Channel *ch, const Flit &flit, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onLinkFlit(ch, flit, now);
-}
-
-inline void
-onInject(const Packet &pkt, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onInject(pkt, now);
-}
-
-inline void
-onDeliver(const Packet &pkt, Cycle now)
-{
-    if (CongestionObserver *c = sink())
-        c->onDeliver(pkt, now);
-}
-
-} // namespace congestion
 
 } // namespace nifdy
 

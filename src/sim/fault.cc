@@ -6,11 +6,8 @@
 #include "net/packet.hh"
 #include "net/router.hh"
 #include "net/topology.hh"
-#include "sim/anatomy.hh"
-#include "sim/audit.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace nifdy
 {
@@ -437,10 +434,7 @@ void
 FaultInjector::finishKill(Packet *pkt, int routerId, Cycle now)
 {
     ++pktsDropped_;
-    audit::onFabricDrop(*pkt, routerId, "fault-injected fabric drop");
-    trace::onFabricDrop(*pkt, routerId, now,
-                        "fault-injected fabric drop");
-    anatomy::onDrop(*pkt, now);
+    probes_->fabricDrop(*pkt, routerId, now, "fault-injected fabric drop");
     pool_.release(pkt);
 }
 
@@ -487,8 +481,7 @@ FaultInjector::filterArrival(int routerId, Channel *ch,
         rng.chance(plan_.corruptProb)) {
         flit.pkt->corrupted = true;
         ++pktsCorrupted_;
-        audit::onCorrupt(*flit.pkt, routerId);
-        trace::onFabricCorrupt(*flit.pkt, routerId, now);
+        probes_->corrupt(*flit.pkt, routerId, now);
     }
     return false;
 }

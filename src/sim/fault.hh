@@ -253,6 +253,9 @@ class FaultInjector
      */
     void attachNetwork(Network &net);
 
+    /** Fire observer events on @p probes (an experiment's bus). */
+    void setProbes(const Probes *probes) { probes_ = probes; }
+
     /**
      * Router input-side hook, called for every flit popped from an
      * incoming channel before it is buffered. Returns true when the
@@ -285,6 +288,7 @@ class FaultInjector
     FaultPlan plan_;
     std::uint64_t seed_;
     PacketPool &pool_;
+    const Probes *probes_ = &noProbes;
     std::vector<Rng> routerRng_;
     std::unordered_set<const Channel *> internal_; // nifdy:pointer-ok(membership-only filter, never iterated or ordered)
     std::map<KillKey, Packet *> killing_; // nifdy:pointer-ok(keyed lookup/erase only, never iterated; order never observed)

@@ -21,15 +21,15 @@ Kernel::add(Steppable *obj, std::string name)
 NIFDY_HOT void
 Kernel::step()
 {
-    if (profiler_) [[unlikely]] {
+    if (probes_.profiler()) [[unlikely]] {
         stepProfiled();
         return;
     }
     const std::uint64_t before = activityEvents_;
     for (Steppable *obj : objects_)
         obj->step(now_);
-    if (audit_)
-        audit_->endCycle(now_);
+    if (Audit *audit = probes_.audit())
+        audit->endCycle(now_);
     if (metrics_)
         metrics_->endCycle(now_);
     ++now_;
@@ -42,7 +42,8 @@ Kernel::step()
 NIFDY_HOT void
 Kernel::stepProfiled()
 {
-    Profiler &p = *profiler_;
+    Profiler &p = *probes_.profiler();
+    Audit *audit = probes_.audit();
     p.sync(objects_);
     const std::uint64_t before = activityEvents_;
     std::uint64_t prev = before;
@@ -57,8 +58,8 @@ Kernel::stepProfiled()
             p.componentTimed(i, after != prev);
             prev = after;
         }
-        if (audit_) {
-            audit_->endCycle(now_);
+        if (audit) {
+            audit->endCycle(now_);
             p.phaseTimed(ProfPhase::audit);
         }
         if (metrics_) {
@@ -73,8 +74,8 @@ Kernel::stepProfiled()
             p.componentStep(i, after != prev);
             prev = after;
         }
-        if (audit_)
-            audit_->endCycle(now_);
+        if (audit)
+            audit->endCycle(now_);
         if (metrics_)
             metrics_->endCycle(now_);
     }

@@ -18,32 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "sim/probes.hh"
+#include "sim/steppable.hh"
 #include "sim/types.hh"
 
 namespace nifdy
 {
 
-class Audit;
 class Metrics;
-class Profiler;
-
-/** Anything advanced once per cycle by the Kernel. */
-class Steppable
-{
-  public:
-    virtual ~Steppable() = default;
-
-    /** Advance one cycle. @param now the cycle being executed. */
-    virtual void step(Cycle now) = 0;
-
-    /**
-     * Component-class label for the host-cost profiler's roll-up
-     * (sim/profile.hh): "router", "nifdy-nic", "plain-nic", "proc",
-     * "fault-driver". Must be a string constant, stable for the
-     * component's lifetime.
-     */
-    virtual const char *profileClass() const { return "other"; }
-};
 
 /**
  * The simulation engine: a registry of Steppable components and a
@@ -91,12 +73,15 @@ class Kernel
     Cycle watchdogLimit() const { return watchdogLimit_; }
 
     /**
-     * Attach an invariant-audit registry (non-owning, may be
-     * nullptr): its polled checks run at the end of every cycle,
-     * after all components have stepped.
+     * The experiment's probe bus (sim/probes.hh). Components get a
+     * pointer to it at wiring time; whoever owns the observers
+     * attaches them here and detaches them before freeing them. The
+     * attached audit's polled checks run at the end of every cycle,
+     * after all components have stepped; while a profiler is
+     * attached, step() takes the profiled path.
      */
-    void setAudit(Audit *audit) { audit_ = audit; }
-    Audit *audit() const { return audit_; }
+    Probes &probes() { return probes_; }
+    const Probes &probes() const { return probes_; }
 
     /**
      * Attach a metric registry (non-owning, may be nullptr): its
@@ -105,15 +90,6 @@ class Kernel
      */
     void setMetrics(Metrics *metrics) { metrics_ = metrics; }
     Metrics *metrics() const { return metrics_; }
-
-    /**
-     * Attach a host-cost profiler (non-owning, may be nullptr).
-     * While attached, step() takes the profiled path; detached, the
-     * hot loop pays exactly one pointer test (the always-compiled
-     * idle path, so profile-off runs are byte-identical).
-     */
-    void setProfiler(Profiler *profiler) { profiler_ = profiler; }
-    Profiler *profiler() const { return profiler_; }
 
   private:
     /** Build and raise the deadlock-watchdog panic message (cold:
@@ -130,9 +106,8 @@ class Kernel
     Cycle watchdogLimit_ = 200000;
     std::vector<Steppable *> objects_;
     std::vector<std::string> names_;
-    Audit *audit_ = nullptr;
+    Probes probes_;
     Metrics *metrics_ = nullptr;
-    Profiler *profiler_ = nullptr;
 };
 
 } // namespace nifdy

@@ -16,7 +16,7 @@
  *
  * When snapshotting is started (metrics.path / metrics.interval
  * knobs) the Kernel calls endCycle() once per cycle after every
- * component (Kernel::setMetrics, same slot pattern as setAudit) and
+ * component (Kernel::setMetrics) and
  * each due snapshot appends one self-contained JSON line to the
  * output file -- a JSONL time series diffable across runs.
  */

@@ -8,20 +8,6 @@
 namespace nifdy
 {
 
-namespace
-{
-
-/** Innermost-first stack of active profilers (tests nest scopes). */
-std::vector<Profiler *> &
-stack()
-{
-    // nifdy:static-ok(ScopedPhase needs the active profiler without threading it through every hook; push/pop keeps runs repeatable in-process)
-    static std::vector<Profiler *> s;
-    return s;
-}
-
-} // namespace
-
 void
 ProfileConfig::validate() const
 {
@@ -31,25 +17,6 @@ ProfileConfig::validate() const
 Profiler::Profiler(const ProfileConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
-    stack().push_back(this);
-}
-
-Profiler::~Profiler()
-{
-    auto &s = stack();
-    for (auto it = s.rbegin(); it != s.rend(); ++it) {
-        if (*it == this) {
-            s.erase(std::next(it).base());
-            break;
-        }
-    }
-}
-
-Profiler *
-Profiler::current()
-{
-    auto &s = stack();
-    return s.empty() ? nullptr : s.back();
 }
 
 NIFDY_HOT std::uint64_t

@@ -13,13 +13,14 @@
  * observable progress per component, the number that quantifies the
  * idle-skipping headroom directly.
  *
- * Cost model mirrors the anatomy layer (anatomy.hh): the kernel's
- * hot loop pays one pointer test while no profiler is attached
- * (profile.enabled defaults to off), so profile-off runs produce
- * byte-identical reports. When attached, progress/idle counters run
- * every cycle (they are deterministic and appear in the normal
- * report metrics), but the host clock is only read on every
- * profile.interval-th cycle ("timed cycles"), bounding the overhead.
+ * Cost model: the profiler is attached to the experiment's probe bus
+ * (sim/probes.hh) but takes no events; the kernel's hot loop pays
+ * one pointer test while none is attached (profile.enabled defaults
+ * to off), so profile-off runs produce byte-identical reports. When
+ * attached, progress/idle counters run every cycle (they are
+ * deterministic and appear in the normal report metrics), but the
+ * host clock is only read on every profile.interval-th cycle
+ * ("timed cycles"), bounding the overhead.
  *
  * Timed cycles use a chained clock: one read at loop entry, one
  * after each component, one after each end-of-cycle phase, one at
@@ -79,7 +80,7 @@ inline constexpr const char *profPhaseSlugs[numProfPhases] = {
 /** Runtime knobs (CLI: profile.enabled / profile.interval). */
 struct ProfileConfig
 {
-    /** Master switch; off = no sink, hooks cost one pointer test. */
+    /** Master switch; off = the kernel loop pays one pointer test. */
     bool enabled = false;
     /** Cycles between host-clock samples (timed cycles); the
      * deterministic step/idle counters always run every cycle. */
@@ -90,22 +91,16 @@ struct ProfileConfig
 };
 
 /**
- * The host-cost sink. Constructing a Profiler makes it the current
- * sink (a stack is kept so nested scopes in tests behave);
- * destroying it pops it. The kernel drives it through
- * Kernel::setProfiler; the trace layer reaches it through
- * ScopedPhase.
+ * The host-cost sink. The kernel drives it while it is attached to
+ * the kernel's probe bus; host work outside the loop (the trace file
+ * write) charges it through ScopedPhase.
  */
 class Profiler
 {
   public:
     explicit Profiler(const ProfileConfig &cfg);
-    ~Profiler();
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /** The active sink, or nullptr when profiling is off. */
-    static Profiler *current();
 
     /** Monotonic host clock, integer nanoseconds. */
     static std::uint64_t hostNowNs();
@@ -146,16 +141,15 @@ class Profiler
     }
 
     /**
-     * RAII scope charging its lifetime to a phase, for host work
-     * outside the kernel loop (trace emit). One pointer test when no
-     * profiler is attached.
+     * RAII scope charging its lifetime to phase @p ph of @p p, for
+     * host work outside the kernel loop (trace emit). Does nothing
+     * when @p p is null.
      */
     class ScopedPhase
     {
       public:
-        explicit ScopedPhase(ProfPhase ph)
-            : p_(Profiler::current()), ph_(ph),
-              t0_(p_ ? hostNowNs() : 0)
+        ScopedPhase(Profiler *p, ProfPhase ph)
+            : p_(p), ph_(ph), t0_(p_ ? hostNowNs() : 0)
         {
         }
         ~ScopedPhase()

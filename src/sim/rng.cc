@@ -8,14 +8,24 @@ namespace nifdy
 namespace
 {
 
+constexpr std::uint64_t golden = 0x9e3779b97f4a7c15ULL;
+
+/** The SplitMix64 finalizer: a deterministic 64-bit mix. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += golden;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 std::uint64_t
 splitmix64(std::uint64_t &x)
 {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    std::uint64_t z = mix64(x);
+    x += golden;
+    return z;
 }
 
 std::uint64_t
@@ -26,11 +36,30 @@ rotl(std::uint64_t x, int k)
 
 } // namespace
 
+IdSampler::IdSampler(double rate, std::uint64_t seed)
+    : threshold_(rate >= 1.0   ? ~std::uint64_t(0)
+                 : rate <= 0.0 ? 0
+                               : std::uint64_t(
+                                     rate * double(~std::uint64_t(0)))),
+      seed_(seed)
+{
+}
+
+bool
+IdSampler::keep(std::uint64_t id) const
+{
+    if (threshold_ == ~std::uint64_t(0))
+        return true;
+    if (threshold_ == 0)
+        return false;
+    return mix64(id ^ seed_) <= threshold_;
+}
+
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 {
     // Mix the stream id into the seed so distinct streams are
     // decorrelated even with adjacent ids.
-    std::uint64_t x = seed ^ (stream * 0x9e3779b97f4a7c15ULL + 1);
+    std::uint64_t x = seed ^ (stream * golden + 1);
     for (auto &s : s_)
         s = splitmix64(x);
     // xoshiro must not start from the all-zero state.

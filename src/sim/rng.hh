@@ -47,6 +47,25 @@ class Rng
     std::uint64_t s_[4];
 };
 
+/**
+ * Deterministic subset selection by id: keeps an id when the
+ * SplitMix64 finalizer of (id ^ seed) falls in the first @p rate of
+ * the u64 range. The tracer and the latency anatomy sample whole
+ * packet lifecycles with it, keyed on Packet::rootId().
+ */
+class IdSampler
+{
+  public:
+    /** @p rate in [0, 1]; 1 keeps every id, 0 none. */
+    IdSampler(double rate, std::uint64_t seed);
+
+    bool keep(std::uint64_t id) const;
+
+  private:
+    std::uint64_t threshold_;
+    std::uint64_t seed_;
+};
+
 } // namespace nifdy
 
 #endif // NIFDY_SIM_RNG_HH

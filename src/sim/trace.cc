@@ -9,22 +9,12 @@
 #include "net/packet.hh"
 #include "sim/json.hh"
 #include "sim/log.hh"
-#include "sim/profile.hh"
 
 namespace nifdy
 {
 
 namespace
 {
-
-/** Active-tracer stack (mirrors the Audit sink stack). */
-std::vector<Tracer *> &
-tracerStack()
-{
-    // nifdy:static-ok(harness sink stack, scoped by RAII push/pop; not simulation state)
-    static std::vector<Tracer *> stack;
-    return stack;
-}
 
 /**
  * Per-path use counts for suffix uniquification, so a bench that
@@ -48,16 +38,6 @@ uniquifyPath(const std::string &path)
     return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-/** Deterministic 64-bit mix (splitmix64 finalizer). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 void
@@ -68,55 +48,14 @@ TraceConfig::validate() const
     panic_if(maxEvents == 0, "trace.maxEvents must be positive");
 }
 
-Tracer::Tracer(const TraceConfig &cfg) : cfg_(cfg)
+Tracer::Tracer(const TraceConfig &cfg)
+    : cfg_(cfg), sampler_(cfg.sampleRate, cfg.seed)
 {
     cfg_.validate();
     path_ = uniquifyPath(cfg_.path);
-    if (cfg_.sampleRate >= 1.0) {
-        sampleThreshold_ = ~std::uint64_t(0);
-    } else if (cfg_.sampleRate <= 0.0) {
-        sampleThreshold_ = 0;
-    } else {
-        sampleThreshold_ = std::uint64_t(
-            cfg_.sampleRate * double(~std::uint64_t(0)));
-    }
-    tracerStack().push_back(this);
 }
 
-Tracer::~Tracer()
-{
-    close();
-    auto &stack = tracerStack();
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        if (*it == this) {
-            stack.erase(std::next(it).base());
-            break;
-        }
-    }
-}
-
-Tracer *
-Tracer::current()
-{
-    auto &stack = tracerStack();
-    return stack.empty() ? nullptr : stack.back();
-}
-
-bool
-Tracer::sampledId(std::uint64_t rootId) const
-{
-    if (sampleThreshold_ == ~std::uint64_t(0))
-        return true;
-    if (sampleThreshold_ == 0)
-        return false;
-    return mix64(rootId ^ cfg_.seed) <= sampleThreshold_;
-}
-
-bool
-Tracer::sampled(const Packet &pkt) const
-{
-    return sampledId(pkt.cloneOf ? pkt.cloneOf : pkt.id);
-}
+Tracer::~Tracer() { close(); }
 
 void
 Tracer::record(const char *name, std::uint64_t rootId, Cycle now,
@@ -143,17 +82,16 @@ Tracer::packetEvent(const char *name, const Packet &pkt, Cycle now,
     // not at all), keeping one async chain per payload packet.
     if (pkt.type == PacketType::ack || pkt.ctrlOnly)
         return;
-    std::uint64_t root = pkt.cloneOf ? pkt.cloneOf : pkt.id;
-    if (!sampledId(root))
+    if (!sampler_.keep(pkt.rootId()))
         return;
-    record(name, root, now, track, pkt.attempt, why);
+    record(name, pkt.rootId(), now, track, pkt.attempt, why);
 }
 
 void
 Tracer::idEvent(const char *name, std::uint64_t rootId, Cycle now,
                 int track, const char *why)
 {
-    if (!sampledId(rootId))
+    if (!sampler_.keep(rootId))
         return;
     record(name, rootId, now, track, 0, why);
 }
@@ -162,7 +100,7 @@ void
 Tracer::anatomySlice(const char *name, std::uint64_t rootId,
                      Cycle from, Cycle to, int track)
 {
-    if (!sampledId(rootId))
+    if (!sampler_.keep(rootId))
         return;
     std::int64_t len = static_cast<std::int64_t>(to - from);
     // Explicit "b"/"e" pair: the slice starts at the segment start,
@@ -185,10 +123,6 @@ Tracer::close()
     if (closed_)
         return;
     closed_ = true;
-    // Host cost of rendering + writing the trace file, charged to
-    // the profiler's trace-emit phase (outside the kernel loop, so
-    // additional to the loop conservation sum).
-    Profiler::ScopedPhase profScope(ProfPhase::traceEmit);
 
     // Per-id first/last indices: the first event of a chain becomes
     // the async "b", the last the async "e", everything between "n".

@@ -11,15 +11,13 @@
  * packet they re-send (cloneOf), so a lossy run shows one unbroken
  * chain per payload from first send to final ack.
  *
- * Cost model mirrors the audit layer (see audit.hh):
- *  - compiled out entirely with -DNIFDY_TRACE=OFF (the trace::on*
- *    shims become empty inline functions);
- *  - when compiled in, a hook costs one pointer test until a Tracer
- *    is activated at run time (the `trace.path` knob);
- *  - when active, per-packet sampling (trace.sampleRate, keyed on a
- *    deterministic hash of the packet's root id so whole lifecycles
- *    are kept or skipped together) and a hard event budget
- *    (trace.maxEvents) bound both overhead and memory.
+ * Cost model: the Tracer is a probe-bus sink (sim/probes.hh), so
+ * while none is attached (the `trace.path` knob is empty) each event
+ * costs the bus's one inlined test. When attached, per-packet
+ * sampling (trace.sampleRate, keyed on a deterministic hash of the
+ * packet's root id so whole lifecycles are kept or skipped together)
+ * and a hard event budget (trace.maxEvents) bound both overhead and
+ * memory.
  *
  * Event names form the taxonomy documented in DESIGN.md section 8;
  * tools/lint.py enforces the component.noun[.verb] convention and
@@ -30,14 +28,11 @@
 #ifndef NIFDY_SIM_TRACE_HH
 #define NIFDY_SIM_TRACE_HH
 
-#ifndef NIFDY_TRACE_ENABLED
-#define NIFDY_TRACE_ENABLED 0
-#endif
-
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace nifdy
@@ -114,9 +109,8 @@ struct TraceConfig
 };
 
 /**
- * The event sink. Constructing a Tracer makes it the current sink
- * (a stack is kept so nested scopes in tests behave); destroying it
- * pops it and writes the file if close() has not already.
+ * The event sink. Destroying it writes the file if close() has not
+ * already.
  */
 class Tracer
 {
@@ -125,9 +119,6 @@ class Tracer
     ~Tracer();
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
-
-    /** The active sink, or nullptr when tracing is off. */
-    static Tracer *current();
 
     /**
      * Flush the buffered events to cfg.path as Chrome trace JSON and
@@ -144,11 +135,7 @@ class Tracer
     std::uint64_t eventsRecorded() const { return events_.size(); }
     std::uint64_t eventsDropped() const { return dropped_; }
 
-    /** True when @p pkt's lifecycle is sampled (root-id hash). */
-    bool sampled(const Packet &pkt) const;
-    bool sampledId(std::uint64_t rootId) const;
-
-    //! @name Recording (called through the trace::on* shims)
+    //! @name Recording (through the probe bus and the other sinks)
     //! @{
     /** Lifecycle event for a data packet; ack/ctrlOnly packets are
      * filtered out (their protocol effects are traced via
@@ -196,229 +183,10 @@ class Tracer
     std::string path_;
     std::vector<Event> events_;
     std::uint64_t dropped_ = 0;
-    /** sampleRate mapped onto the u64 hash range. */
-    std::uint64_t sampleThreshold_ = 0;
+    /** Lifecycles kept, by root id (trace.sampleRate). */
+    IdSampler sampler_;
     bool closed_ = false;
 };
-
-/**
- * Observer hook shims. Components call these unconditionally; they
- * compile to nothing with -DNIFDY_TRACE=OFF and to one pointer test
- * while no Tracer is active. Field inspection (sampling, ack/ctrl
- * filtering) happens inside Tracer, keeping this header free of a
- * packet.hh dependency.
- */
-namespace trace
-{
-
-/** True when tracing support is compiled in at all. */
-constexpr bool
-compiledIn()
-{
-    return NIFDY_TRACE_ENABLED != 0;
-}
-
-inline Tracer *
-sink()
-{
-#if NIFDY_TRACE_ENABLED
-    return Tracer::current();
-#else
-    return nullptr;
-#endif
-}
-
-/** True when a Tracer is currently recording (use to gate work that
- * only exists to feed the tracer, e.g. bulk-ack id bookkeeping). */
-inline bool
-active()
-{
-    return sink() != nullptr;
-}
-
-inline void
-onSend(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::packetSend, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onInject(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::packetInject, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onHop(const Packet &pkt, int routerId, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::routerHop, pkt, now, routerId);
-    (void)pkt;
-    (void)routerId;
-    (void)now;
-}
-
-inline void
-onDeliver(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::packetDeliver, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onOptAdmit(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::optAdmit, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onOptDefer(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::optDefer, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onWindowAdmit(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::windowAdmit, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-/** Scalar ack: @p pkt is the DATA packet being acknowledged. */
-inline void
-onAckIssue(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::ackIssue, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-/** Cumulative bulk ack covering the packet with root id @p rootId. */
-inline void
-onAckIssueId(std::uint64_t rootId, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->idEvent(ev::ackIssue, rootId, now, node);
-    (void)rootId;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onRetransmit(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::packetRetransmit, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-inline void
-onDrop(const Packet &pkt, NodeId node, Cycle now, const char *why)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::packetDrop, pkt, now, node, why);
-    (void)pkt;
-    (void)node;
-    (void)now;
-    (void)why;
-}
-
-inline void
-onFabricDrop(const Packet &pkt, int routerId, Cycle now,
-             const char *why)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::fabricDrop, pkt, now, routerId, why);
-    (void)pkt;
-    (void)routerId;
-    (void)now;
-    (void)why;
-}
-
-inline void
-onFabricCorrupt(const Packet &pkt, int routerId, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::fabricCorrupt, pkt, now, routerId);
-    (void)pkt;
-    (void)routerId;
-    (void)now;
-}
-
-/** Stale-incarnation rejection: @p pkt carries an epoch the receiver
- * no longer (or does not yet) honors. The matching nic.packet.drop
- * on the same chain keeps the lifecycle terminal. */
-inline void
-onEpochReject(const Packet &pkt, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->packetEvent(ev::epochReject, pkt, now, node);
-    (void)pkt;
-    (void)node;
-    (void)now;
-}
-
-/** Endpoint fail-stop; chains with the node's restart (if any) via
- * nodeChainId(). */
-inline void
-onNodeCrash(NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->idEvent(ev::nodeCrash, nodeChainId(node), now, node);
-    (void)node;
-    (void)now;
-}
-
-inline void
-onNodeRestart(NodeId node, std::uint32_t epoch, Cycle now)
-{
-    (void)epoch;
-    if (Tracer *t = sink())
-        t->idEvent(ev::nodeRestart, nodeChainId(node), now, node);
-    (void)node;
-    (void)now;
-}
-
-/** Collective-engine event (any ev::coll* name) on @p node's
- * collective chain. Coll packets are ctrlOnly, so their protocol
- * effects trace here rather than through packetEvent(). */
-inline void
-onColl(const char *name, NodeId node, Cycle now)
-{
-    if (Tracer *t = sink())
-        t->idEvent(name, collChainId(node), now, node);
-    (void)name;
-    (void)node;
-    (void)now;
-}
-
-} // namespace trace
 
 } // namespace nifdy
 

@@ -39,6 +39,7 @@ class NifdyHarness
     {
         NetworkParams np;
         np.numNodes = nodes;
+        pool.setProbes(&kernel.probes());
         net = makeNetwork(topology, np);
         net->addToKernel(kernel);
         const NetworkParams &p = net->params();
@@ -88,13 +89,18 @@ class NifdyHarness
     {
     }
 
-    ~NifdyHarness() { releaseReceived(); }
+    ~NifdyHarness()
+    {
+        releaseReceived();
+        kernel.probes().detachAll();
+    }
 
     /** Attach an in-fabric fault injector (call before running). */
     FaultInjector &
     attachFaults(const FaultPlan &plan, std::uint64_t seed = 1)
     {
         faults = std::make_unique<FaultInjector>(plan, seed, pool);
+        faults->setProbes(&kernel.probes());
         faults->attachNetwork(*net);
         if (audit)
             audit->setExpectFaults(true);
@@ -121,7 +127,7 @@ class NifdyHarness
             audit->watchRouter(&net->router(r));
         for (int c = 0; c < net->numChannels(); ++c)
             audit->watchChannel(&net->channelAt(c));
-        kernel.setAudit(audit.get());
+        kernel.probes().attach(audit.get());
         return *audit;
     }
 
@@ -200,9 +206,8 @@ class NifdyHarness
 
     Kernel kernel;
     PacketPool pool;
-    /** Declared before the pool users, destroyed after them; the
-     * dtor-time releaseReceived() is still audited (those packets
-     * were delivered, so their release is legal). */
+    /** The dtor-time releaseReceived() is still audited (those
+     * packets were delivered, so their release is legal). */
     std::unique_ptr<Audit> audit;
     std::unique_ptr<Network> net;
     /** After net: routers keep a raw pointer to the injector. */

@@ -58,9 +58,7 @@ TEST(AuditClean, ScalarTrafficRaisesNothing)
         for (NodeId s = 0; s < 4; ++s)
             h.send(s, (s + 1 + round) % 4);
     ASSERT_TRUE(h.runUntilIdle());
-#if NIFDY_AUDIT_ENABLED
     EXPECT_GT(audit.eventsSeen(), 0u);
-#endif
     EXPECT_EQ(panicMessage([&] { audit.finish(); }), "");
 }
 
@@ -197,8 +195,6 @@ TEST(AuditCapacity, ChannelPushPanicsPastCreditBound)
     EXPECT_NE(msg.find("channel over capacity"), std::string::npos)
         << msg;
 }
-
-#if NIFDY_AUDIT_ENABLED
 
 //===------------------------------------------------------------===//
 // Fault-injection mutants, each tripping exactly one checker
@@ -409,8 +405,6 @@ TEST(AuditMutants, ReorderedBulkWindowCaughtByDeliveryOrder)
     EXPECT_NE(msg.find("out-of-order delivery"), std::string::npos)
         << msg;
 }
-
-#endif // NIFDY_AUDIT_ENABLED
 
 } // namespace
 } // namespace nifdy

@@ -12,10 +12,16 @@
  * files. This fixture catches the same class of bug (behavior keyed
  * on pointer values, container iteration order, or leftover global
  * state) without leaving the test binary.
+ *
+ * Experiments are also re-entrant: each one's observers hang off its
+ * own kernel's probe bus, so two experiments stepped alternately, or
+ * run on two threads, each report exactly what they report alone.
  */
 
+#include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -30,22 +36,39 @@ namespace nifdy
 namespace
 {
 
-/** Build, run, and serialize one experiment from key=value pairs. */
-std::string
-runOnce(const Config &conf, Cycle cycles)
+/** One experiment from key=value pairs, heavy synthetic traffic on
+ * every node. */
+std::unique_ptr<Experiment>
+build(const Config &conf)
 {
     ExperimentConfig cfg = experimentFromConfig(conf);
-    Experiment exp(cfg);
+    auto exp = std::make_unique<Experiment>(cfg);
     SyntheticParams sp = SyntheticParams::heavy();
-    for (NodeId n = 0; n < exp.numNodes(); ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               exp.numNodes(), sp, cfg.seed));
-    exp.runFor(cycles);
+    for (NodeId n = 0; n < exp->numNodes(); ++n)
+        exp->setWorkload(n, std::make_unique<SyntheticWorkload>(
+                                exp->proc(n), exp->msg(n),
+                                exp->barrier(), exp->numNodes(), sp,
+                                cfg.seed));
+    return exp;
+}
+
+/** @p exp's report; @p withProfile keeps the host-time section. */
+std::string
+report(const Config &conf, const Experiment &exp, bool withProfile)
+{
     RunReport rep("test_determinism");
     rep.echoConfig(conf);
     exp.fillReport(rep);
-    return rep.json();
+    return rep.json(withProfile);
+}
+
+/** Build, run, and serialize one experiment from key=value pairs. */
+std::string
+runOnce(const Config &conf, Cycle cycles, bool withProfile = true)
+{
+    std::unique_ptr<Experiment> exp = build(conf);
+    exp->runFor(cycles);
+    return report(conf, *exp, withProfile);
 }
 
 Config
@@ -89,6 +112,62 @@ TEST(Determinism, FaultInjectedAuditedDoubleRunByteIdentical)
     const std::string first = runOnce(faultyConfig(), 20000);
     const std::string second = runOnce(faultyConfig(), 20000);
     EXPECT_EQ(first, second);
+}
+
+/** A 16-node mesh with every event-taking observer on: the audit,
+ * the latency anatomy and the congestion observatory. */
+Config
+observedMeshConfig(long seed)
+{
+    Config conf;
+    conf.set("topology", std::string("mesh2d"));
+    conf.set("nodes", 16L);
+    conf.set("seed", seed);
+    conf.set("audit", true);
+    conf.set("anatomy.enabled", true);
+    conf.set("congestion.enabled", true);
+    return conf;
+}
+
+TEST(Determinism, InterleavedExperimentsMatchSoloRuns)
+{
+    const Config confs[2] = {observedMeshConfig(1),
+                             observedMeshConfig(2)};
+    std::unique_ptr<Experiment> exps[2] = {build(confs[0]),
+                                           build(confs[1])};
+    for (int round = 0; round < 2; ++round)
+        for (auto &exp : exps)
+            exp->runFor(5000);
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(report(confs[i], *exps[i], false),
+                  runOnce(confs[i], 10000, false))
+            << "experiment " << i << " saw the other's events";
+}
+
+TEST(Determinism, ExperimentsOnTwoThreadsMatchSoloRuns)
+{
+    Config confs[2] = {observedMeshConfig(1), observedMeshConfig(2)};
+    std::string solo[2];
+    for (int i = 0; i < 2; ++i) {
+        confs[i].set("profile.enabled", true);
+        solo[i] = runOnce(confs[i], 10000, false);
+    }
+    std::string threaded[2];
+    auto run = [&](int i) {
+        // An exception escaping a worker thread would terminate the
+        // process: report it as the (mismatching) result instead.
+        try {
+            threaded[i] = runOnce(confs[i], 10000, false);
+        } catch (const std::exception &e) {
+            threaded[i] = e.what();
+        }
+    };
+    {
+        std::jthread first(run, 0);
+        std::jthread second(run, 1);
+    }
+    for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(threaded[i], solo[i]) << "experiment " << i;
 }
 
 TEST(Determinism, ReportsCarryTheStableSchema)

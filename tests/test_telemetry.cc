@@ -116,8 +116,6 @@ TEST(Telemetry, RunReportJsonShape)
     EXPECT_NE(j.find("\"title\":\"demo\""), std::string::npos);
 }
 
-#if NIFDY_TRACE_ENABLED
-
 TEST(Telemetry, TracedRunWritesBalancedChains)
 {
     ExperimentConfig cfg;
@@ -179,8 +177,6 @@ TEST(Telemetry, TracingDoesNotPerturbTheRun)
     sampled.trace.sampleRate = 0.25;
     EXPECT_EQ(runSmall(sampled), base);
 }
-
-#endif // NIFDY_TRACE_ENABLED
 
 TEST(Telemetry, MetricsSnapshotsAreJsonl)
 {
