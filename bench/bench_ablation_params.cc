@@ -76,6 +76,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 120000);
+    args.conf.close();
 
     // (a) Ack timing policy, heavy traffic on mesh and fat tree.
     {

@@ -26,6 +26,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 120000);
+    args.conf.close();
 
     for (bool heavy : {true, false}) {
         SyntheticParams sp = heavy ? SyntheticParams::heavy()

@@ -25,16 +25,17 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 160000, 16);
-    if (args.conf.getBool("help", false)) {
-        std::fputs(experimentCliHelp().c_str(), stdout);
-        return 0;
-    }
-    std::string topology = args.conf.getString("topology", "fattree");
-    double drop = args.conf.getDouble("drop", 0.01);
-    Cycle restartAfter = static_cast<Cycle>(
-        args.conf.getInt("restartAfter", 6000));
-    Cycle reclaim =
-        static_cast<Cycle>(args.conf.getInt("reclaim", 20000));
+    std::string topology = "fattree";
+    args.conf.knob("topology", topology, "network topology");
+    double drop = 0.01;
+    args.conf.knob("drop", drop, "per-hop in-fabric drop probability");
+    Cycle restartAfter = 6000;
+    args.conf.knob("restartAfter", restartAfter,
+                   "downtime before a crashed node restarts");
+    Cycle reclaim = 20000;
+    args.conf.knob("reclaim", reclaim,
+                   "live-peer protocol-state reclamation timeout");
+    args.conf.close();
 
     Table t("Endpoint fault domain: heavy synthetic traffic on " +
             topology + " with " + std::to_string(args.nodes) +

@@ -97,15 +97,16 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0, 16);
-    if (args.conf.getBool("help", false)) {
-        std::fputs(experimentCliHelp().c_str(), stdout);
-        return 0;
-    }
-    std::string topology = args.conf.getString("topology", "fattree");
-    int phases = static_cast<int>(args.conf.getInt("phases", 32));
-    int arity = static_cast<int>(args.conf.getInt("arity", 4));
-    int crashNodes =
-        static_cast<int>(args.conf.getInt("crashNodes", 64));
+    std::string topology = "fattree";
+    args.conf.knob("topology", topology, "network topology");
+    int phases = 32;
+    args.conf.knob("phases", phases, "collective phases per run");
+    int arity = 4;
+    args.conf.knob("arity", arity, "combining-tree fan-out");
+    int crashNodes = 64;
+    args.conf.knob("crashNodes", crashNodes,
+                   "machine size of the crash-recovery runs");
+    args.conf.close();
 
     Table t("Barrier latency scaling on " + topology +
             ": software message tree vs NIC combining tree (arity " +

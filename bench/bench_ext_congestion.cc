@@ -26,7 +26,7 @@
  *       traffic.incast.hi=300 traffic.incast.heavy=4
  *       traffic.incast.lightdiv=25
  * plus the congestion.* knobs (window, onFrac, offFrac,
- * aggressorShare, victimSlowdown) via applyTelemetry(). The
+ * aggressorShare, victimSlowdown) via BenchArgs::bindTelemetry(). The
  * aggressor-share default here is 0.10 -- lower than the harness's
  * 0.25 because the contended links carry many flows at once --
  * still overridable from the command line.
@@ -53,16 +53,13 @@ struct IncastMix
 std::unique_ptr<Experiment>
 makeIncastExperiment(const std::string &topology, NicKind kind,
                      int nodes, const IncastMix &mix,
-                     std::uint64_t seed, const Config &telemetry)
+                     std::uint64_t seed, ExperimentConfig cfg)
 {
-    ExperimentConfig cfg;
     cfg.topology = topology;
     cfg.numNodes = nodes;
     cfg.nicKind = kind;
     cfg.seed = seed;
     cfg.msg.packetWords = 8;
-    cfg.congestion.aggressorShare = 0.10; // see file comment
-    applyTelemetry(cfg, telemetry);
     cfg.congestion.enabled = true; // the bench's whole point
     cfg.congestion.validate();
     auto exp = std::make_unique<Experiment>(cfg);
@@ -88,24 +85,26 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 150000);
-    if (args.conf.getBool("help", false)) {
-        std::fputs(experimentCliHelp().c_str(), stdout);
-        return 0;
-    }
-    std::string topology = args.conf.getString("topology", "fattree");
+    args.base.congestion.aggressorShare = 0.10; // see file comment
+    args.bindTelemetry();
+    std::string topology = "fattree";
+    args.conf.knob("topology", topology, "network topology");
 
     IncastMix mix;
     IncastParams &hp = mix.heavyParams;
-    hp.receiver = static_cast<NodeId>(
-        args.conf.getInt("traffic.incast.receiver", hp.receiver));
-    hp.packetsPerPhaseLo = static_cast<int>(args.conf.getInt(
-        "traffic.incast.lo", hp.packetsPerPhaseLo));
-    hp.packetsPerPhaseHi = static_cast<int>(args.conf.getInt(
-        "traffic.incast.hi", hp.packetsPerPhaseHi));
-    mix.heavySenders = static_cast<int>(args.conf.getInt(
-        "traffic.incast.heavy", 4));
-    const int lightDiv = static_cast<int>(args.conf.getInt(
-        "traffic.incast.lightdiv", 25));
+    args.conf.knob("traffic.incast.receiver", hp.receiver,
+                   "the node every sender targets");
+    args.conf.knob("traffic.incast.lo", hp.packetsPerPhaseLo,
+                   "heavy sender packets per phase, lower bound");
+    args.conf.knob("traffic.incast.hi", hp.packetsPerPhaseHi,
+                   "heavy sender packets per phase, upper bound");
+    mix.heavySenders = 4;
+    args.conf.knob("traffic.incast.heavy", mix.heavySenders,
+                   "senders that blast full-rate bursts");
+    int lightDiv = 25;
+    args.conf.knob("traffic.incast.lightdiv", lightDiv,
+                   "light senders send 1/N of the heavy burst");
+    args.conf.close();
     mix.lightParams = hp;
     mix.lightParams.packetsPerPhaseLo =
         std::max(1, hp.packetsPerPhaseLo / lightDiv);
@@ -123,7 +122,7 @@ main(int argc, char **argv)
 
     for (NicKind kind : {NicKind::none, NicKind::nifdy}) {
         auto exp = makeIncastExperiment(topology, kind, args.nodes,
-                                        mix, args.seed, args.conf);
+                                        mix, args.seed, args.base);
         exp->runFor(args.cycles);
         const std::string tag =
             "incast." + std::string(nicKindName(kind));

@@ -37,12 +37,27 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 120000, 16);
-    if (args.conf.getBool("help", false)) {
-        std::fputs(experimentCliHelp().c_str(), stdout);
-        return 0;
-    }
-    std::string topology = args.conf.getString("topology", "mesh2d");
-    double corrupt = args.conf.getDouble("corrupt", 0.0);
+    args.bindTelemetry();
+    std::string topology = "mesh2d";
+    args.conf.knob("topology", topology, "network topology");
+    LossyConfig &lossy = args.base.lossy;
+    args.conf.knob("corrupt", args.base.fault.corruptProb,
+                   "per-hop corruption probability at every drop rate");
+    lossy.retxTimeout = 1500;
+    args.conf.knob("timeout", lossy.retxTimeout,
+                   "initial retransmit timeout in cycles");
+    lossy.backoffFactor = 2.0;
+    args.conf.knob("backoff", lossy.backoffFactor,
+                   "timeout multiplier per retry");
+    lossy.maxRetxTimeout = 12000;
+    args.conf.knob("maxTimeout", lossy.maxRetxTimeout,
+                   "backoff ceiling in cycles");
+    lossy.jitterFrac = 0.25;
+    args.conf.knob("jitter", lossy.jitterFrac,
+                   "retransmit deadline jitter fraction");
+    args.conf.knob("retries", lossy.maxRetries,
+                   "declare a peer dead after N retries (0 = never)");
+    args.conf.close();
 
     Table t("Robustness extension: heavy synthetic traffic on " +
             topology + " with in-fabric faults, " +
@@ -54,23 +69,13 @@ main(int argc, char **argv)
     SyntheticParams sp = SyntheticParams::heavy();
     std::uint64_t base = 0;
     for (double drop : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
-        ExperimentConfig cfg;
+        ExperimentConfig cfg = args.base;
         cfg.topology = topology;
         cfg.numNodes = args.nodes;
         cfg.nicKind = NicKind::lossy;
         cfg.seed = args.seed;
         cfg.msg.packetWords = 8;
-        cfg.lossy.retxTimeout = static_cast<Cycle>(
-            args.conf.getInt("timeout", 1500));
-        cfg.lossy.backoffFactor = args.conf.getDouble("backoff", 2.0);
-        cfg.lossy.maxRetxTimeout = static_cast<Cycle>(
-            args.conf.getInt("maxTimeout", 12000));
-        cfg.lossy.jitterFrac = args.conf.getDouble("jitter", 0.25);
-        cfg.lossy.maxRetries = static_cast<int>(
-            args.conf.getInt("retries", 0));
         cfg.fault.dropProb = drop;
-        cfg.fault.corruptProb = corrupt;
-        applyTelemetry(cfg, args.conf);
         Experiment exp(cfg);
         for (NodeId n = 0; n < args.nodes; ++n)
             exp.setWorkload(n, std::make_unique<SyntheticWorkload>(

@@ -20,7 +20,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 120000, 16);
-    Cycle timeout = args.conf.getInt("timeout", 3000);
+    Cycle timeout = 3000;
+    args.conf.knob("timeout", timeout, "retransmit timeout in cycles");
+    args.conf.close();
 
     Table t("Extension (Section 6.2): heavy synthetic traffic on the "
             "2-D mesh with packet loss, " +

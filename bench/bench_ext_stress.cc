@@ -56,6 +56,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 100000);
+    args.conf.close();
 
     {
         Table t("Stress A: hot-spot traffic on the fat tree "

@@ -35,6 +35,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 150000);
+    args.bindTelemetry();
+    args.conf.close();
 
     Table t("Figure 2: heavy synthetic traffic, packets delivered in " +
             std::to_string(args.cycles) + " cycles");
@@ -42,19 +44,16 @@ main(int argc, char **argv)
               "nifdy/buffers"});
 
     SyntheticParams sp = SyntheticParams::heavy();
-    bool anatomy = args.conf.getBool("anatomy.enabled", false);
-    bool congestion = args.conf.getBool("congestion.enabled", false);
-    BenchArgs *blame = (anatomy || congestion) ? &args : nullptr;
     for (const std::string &topo : paperTopologies()) {
         std::uint64_t none = syntheticThroughput(
             topo, NicKind::none, sp, args.cycles, args.nodes,
-            args.seed, &args.conf, blame, topo + ".none");
+            args.seed, args.base, &args, topo + ".none");
         std::uint64_t buffers = syntheticThroughput(
             topo, NicKind::buffers, sp, args.cycles, args.nodes,
-            args.seed, &args.conf, blame, topo + ".buffers");
+            args.seed, args.base, &args, topo + ".buffers");
         std::uint64_t nifdy = syntheticThroughput(
             topo, NicKind::nifdy, sp, args.cycles, args.nodes,
-            args.seed, &args.conf, blame, topo + ".nifdy");
+            args.seed, args.base, &args, topo + ".nifdy");
         t.row({topo, Table::num(static_cast<long>(none)),
                Table::num(static_cast<long>(buffers)),
                Table::num(static_cast<long>(nifdy)),

@@ -20,6 +20,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 150000);
+    args.bindTelemetry();
+    args.conf.close();
 
     Table t("Figure 3: light synthetic traffic, packets delivered in " +
             std::to_string(args.cycles) + " cycles");
@@ -30,13 +32,13 @@ main(int argc, char **argv)
     for (const std::string &topo : paperTopologies()) {
         std::uint64_t none = syntheticThroughput(
             topo, NicKind::none, sp, args.cycles, args.nodes,
-            args.seed, &args.conf);
+            args.seed, args.base);
         std::uint64_t buffers = syntheticThroughput(
             topo, NicKind::buffers, sp, args.cycles, args.nodes,
-            args.seed, &args.conf);
+            args.seed, args.base);
         std::uint64_t nifdy = syntheticThroughput(
             topo, NicKind::nifdy, sp, args.cycles, args.nodes,
-            args.seed, &args.conf);
+            args.seed, args.base);
         t.row({topo, Table::num(static_cast<long>(none)),
                Table::num(static_cast<long>(buffers)),
                Table::num(static_cast<long>(nifdy)),

@@ -61,6 +61,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 120000);
+    args.conf.close();
     const std::vector<int> sizes{16, 64, 256};
 
     // Baseline: the plain interface at each size.

@@ -104,8 +104,12 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
-    int words = static_cast<int>(args.conf.getInt("words", 120));
-    Cycle interval = args.conf.getInt("interval", 10000);
+    int words = 120;
+    args.conf.knob("words", words, "cshift payload words per pair");
+    Cycle interval = 10000;
+    args.conf.knob("interval", interval,
+                   "cycles between pending-packet samples");
+    args.conf.close();
 
     MapResult none = runMap(NicKind::none, "cshift.pending.none",
                             args.nodes, words, interval, args.seed);

@@ -67,7 +67,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
-    int words = static_cast<int>(args.conf.getInt("words", 120));
+    int words = 120;
+    args.conf.knob("words", words, "cshift payload words per pair");
+    args.conf.close();
 
     struct Row
     {

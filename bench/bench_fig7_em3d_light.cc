@@ -60,7 +60,9 @@ runEm3dFigure(int argc, char **argv, const Em3dParams &params,
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
-    int iters = static_cast<int>(args.conf.getInt("iters", 3));
+    int iters = 3;
+    args.conf.knob("iters", iters, "EM3D iterations per run");
+    args.conf.close();
 
     Table t(title);
     t.header({"network", "none", "buffers", "nifdy-", "nifdy",

@@ -90,9 +90,14 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
-    int buckets = static_cast<int>(args.conf.getInt("buckets", 256));
-    int delay = static_cast<int>(args.conf.getInt("delay", 60));
-    int keys = static_cast<int>(args.conf.getInt("keys", 256));
+    int buckets = 256;
+    args.conf.knob("buckets", buckets, "scan-phase buckets per node");
+    int delay = 60;
+    args.conf.knob("delay", delay,
+                   "idle cycles between sends in the delayed scan");
+    int keys = 256;
+    args.conf.knob("keys", keys, "coalesce-phase keys per node");
+    args.conf.close();
 
     const std::vector<std::string> trees{"fattree", "cm5",
                                          "fattree-saf"};

@@ -79,9 +79,8 @@ struct RunResult
 
 std::unique_ptr<Experiment>
 makeGridExperiment(const GridSpec &spec, std::uint64_t seed,
-                   bool profiled, const Config &conf)
+                   bool profiled, ExperimentConfig cfg)
 {
-    ExperimentConfig cfg;
     cfg.topology = spec.topology;
     cfg.numNodes = spec.nodes;
     cfg.nicKind = spec.kind;
@@ -89,7 +88,6 @@ makeGridExperiment(const GridSpec &spec, std::uint64_t seed,
     cfg.msg.packetWords = 8;
     if (spec.faultDrop > 0)
         cfg.fault.dropProb = spec.faultDrop;
-    applyTelemetry(cfg, conf);
     if (profiled)
         cfg.profile.enabled = true;
     auto exp = std::make_unique<Experiment>(cfg);
@@ -146,7 +144,12 @@ int
 benchMain(int argc, char **argv)
 {
     BenchArgs args(argc, argv, /*defCycles=*/40000);
-    std::string only = args.conf.getString("grid", "");
+    args.bindTelemetry();
+    std::string only;
+    args.conf.knob("grid", only,
+                   "comma-separated configs to run (default: all of "
+                   "idle, fig2heavy, faultsoak, bigtree)");
+    args.conf.close();
 
     Table t("kernel throughput grid (deterministic window counts)");
     t.header({"config", "topology", "nodes", "cycles", "flit events",
@@ -158,7 +161,7 @@ benchMain(int argc, char **argv)
             continue;
         Cycle warmup = args.cycles / 10;
         auto exp =
-            makeGridExperiment(spec, args.seed, false, args.conf);
+            makeGridExperiment(spec, args.seed, false, args.base);
         RunResult r = timeRun(*exp, warmup, args.cycles);
         recordRun(args, spec.tag, r);
         t.row({spec.tag, spec.topology,
@@ -181,7 +184,7 @@ benchMain(int argc, char **argv)
             // profiler's own overhead. The simulation itself must be
             // bit-identical -- the profiler only observes.
             auto pexp = makeGridExperiment(spec, args.seed, true,
-                                           args.conf);
+                                           args.base);
             RunResult pr = timeRun(*pexp, warmup, args.cycles);
             panic_if(pr.flits != r.flits || pr.packets != r.packets,
                      "profiled run diverged from the plain run: "

@@ -102,7 +102,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
-    int bytes = static_cast<int>(args.conf.getInt("packet", 32));
+    int bytes = 32;
+    args.conf.knob("packet", bytes, "probe packet size in bytes");
+    args.conf.close();
 
     Table t("Table 3: simulated " + std::to_string(args.nodes) +
             "-node networks, measured characteristics and NIFDY "

@@ -1,14 +1,22 @@
 /**
  * @file
  * Shared helpers for the per-figure bench harnesses: argument
- * parsing, standard experiment assembly, and result collection.
+ * binding, standard experiment assembly, and result collection.
  *
- * Every bench accepts "key=value" arguments; the most useful are
- *   cycles=N       measurement window (default per bench)
- *   nodes=N        machine size (default 64)
+ * Every bench accepts "key=value" arguments; BenchArgs binds the
+ * common ones
+ *   cycles=N       measurement window (benches that run to
+ *                  completion have none)
+ *   nodes=N        machine size (default per bench)
  *   seed=N         RNG seed (default 1)
  *   csv=true       additionally emit CSV rows
  *   --json PATH    also write the run report as JSON (or json=PATH)
+ * and, for benches that call bindTelemetry(), the observer knobs
+ * (trace.*, metrics.*, anatomy.*, congestion.*, profile.*, with
+ * --anatomy and --congestion as sugar). Each bench binds its own
+ * keys next, then makes the closing conf.close() call: --help lists
+ * exactly what the bench reads, and any other argument is fatal
+ * before anything runs.
  *
  * Results flow through one RunReport: emit() prints a table to
  * stdout AND records it, so the text output and the `--json` report
@@ -32,38 +40,54 @@
 namespace nifdy
 {
 
-/** Common bench options parsed from argv, plus the run report. */
+/** Common bench options bound from argv, plus the run report. */
 struct BenchArgs
 {
     Config conf;
     Cycle cycles;
     int nodes;
-    std::uint64_t seed;
-    bool csv;
+    std::uint64_t seed = 1;
+    bool csv = false;
     std::string jsonPath;
+    /** What every experiment of the bench starts from: defaults,
+     * plus the observer knobs once bindTelemetry() has run. */
+    ExperimentConfig base;
     RunReport report;
 
+    /** @p defCycles == 0: the bench runs to completion and takes no
+     * cycles= knob. */
     BenchArgs(int argc, char **argv, Cycle defCycles, int defNodes = 64)
-        : report(toolName(argc, argv))
+        : cycles(defCycles), nodes(defNodes),
+          report(toolName(argc, argv))
     {
         conf.parseArgs(argc, argv);
-        // `--json PATH` is sugar for json=PATH, `--anatomy` for
-        // anatomy.enabled=true, and `--congestion` for
-        // congestion.enabled=true (leftover tokens are otherwise
-        // ignored by the key=value parser).
-        for (int i = 1; i < argc; ++i) {
-            if (std::string(argv[i]) == "--json" && i + 1 < argc)
-                conf.set("json", std::string(argv[i + 1]));
-            if (std::string(argv[i]) == "--anatomy")
-                conf.set("anatomy.enabled", "true");
-            if (std::string(argv[i]) == "--congestion")
-                conf.set("congestion.enabled", "true");
-        }
-        cycles = conf.getInt("cycles", static_cast<long>(defCycles));
-        nodes = static_cast<int>(conf.getInt("nodes", defNodes));
-        seed = conf.getInt("seed", 1);
-        csv = conf.getBool("csv", false);
-        jsonPath = conf.getString("json", "");
+        // `--json PATH` is sugar for json=PATH (and echoed as such).
+        if (conf.flag("--json", jsonPath,
+                      "write the run report as JSON here"))
+            conf.set("json", jsonPath);
+        if (defCycles > 0)
+            conf.knob("cycles", cycles, "measurement window in cycles");
+        conf.knob("nodes", nodes, "machine size");
+        conf.knob("seed", seed, "RNG seed");
+        conf.knob("csv", csv, "additionally emit CSV rows");
+        conf.knob("json", jsonPath, "write the run report as JSON here");
+    }
+
+    /**
+     * Bind the observer knobs into base. `--anatomy` is sugar for
+     * anatomy.enabled=true and `--congestion` for
+     * congestion.enabled=true. Benches that build many experiments
+     * get one trace/metrics file per experiment; the sinks uniquify
+     * the path with a .2/.3 suffix.
+     */
+    void bindTelemetry()
+    {
+        if (conf.flag("--anatomy", "sugar for anatomy.enabled=true"))
+            conf.set("anatomy.enabled", "true");
+        if (conf.flag("--congestion",
+                      "sugar for congestion.enabled=true"))
+            conf.set("congestion.enabled", "true");
+        nifdy::bindTelemetry(conf, base);
     }
 
     /** Print @p t (and CSV when asked) and record it in the report. */
@@ -110,72 +134,6 @@ struct BenchArgs
                                           : path.substr(slash + 1);
     }
 };
-
-inline NicKind
-parseNicKind(const std::string &name)
-{
-    if (name == "none")
-        return NicKind::none;
-    if (name == "buffers")
-        return NicKind::buffers;
-    if (name == "nifdy")
-        return NicKind::nifdy;
-    if (name == "lossy")
-        return NicKind::lossy;
-    fatal("unknown NIC kind '%s'", name.c_str());
-}
-
-/**
- * Copy the telemetry knobs (trace.*, metrics.*) from the bench's
- * key=value arguments into an experiment config. Benches that build
- * many experiments get one trace/metrics file per experiment; the
- * sinks uniquify the path with a .2/.3 suffix.
- */
-inline void
-applyTelemetry(ExperimentConfig &cfg, const Config &conf)
-{
-    cfg.trace.path = conf.getString("trace.path", cfg.trace.path);
-    cfg.trace.sampleRate =
-        conf.getDouble("trace.sampleRate", cfg.trace.sampleRate);
-    cfg.trace.maxEvents = static_cast<std::size_t>(conf.getInt(
-        "trace.maxEvents", static_cast<long>(cfg.trace.maxEvents)));
-    cfg.trace.seed = static_cast<std::uint64_t>(conf.getInt(
-        "trace.seed", static_cast<long>(cfg.trace.seed)));
-    cfg.trace.validate();
-    cfg.metrics.path =
-        conf.getString("metrics.path", cfg.metrics.path);
-    cfg.metrics.interval = static_cast<Cycle>(conf.getInt(
-        "metrics.interval",
-        static_cast<long>(cfg.metrics.interval)));
-    cfg.metrics.validate();
-    cfg.anatomy.enabled =
-        conf.getBool("anatomy.enabled", cfg.anatomy.enabled);
-    cfg.anatomy.sampleRate =
-        conf.getDouble("anatomy.sampleRate", cfg.anatomy.sampleRate);
-    cfg.anatomy.seed = static_cast<std::uint64_t>(conf.getInt(
-        "anatomy.seed", static_cast<long>(cfg.anatomy.seed)));
-    cfg.anatomy.validate();
-    cfg.congestion.enabled =
-        conf.getBool("congestion.enabled", cfg.congestion.enabled);
-    cfg.congestion.window = static_cast<Cycle>(conf.getInt(
-        "congestion.window",
-        static_cast<long>(cfg.congestion.window)));
-    cfg.congestion.onFrac =
-        conf.getDouble("congestion.onFrac", cfg.congestion.onFrac);
-    cfg.congestion.offFrac =
-        conf.getDouble("congestion.offFrac", cfg.congestion.offFrac);
-    cfg.congestion.aggressorShare = conf.getDouble(
-        "congestion.aggressorShare", cfg.congestion.aggressorShare);
-    cfg.congestion.victimSlowdown = conf.getDouble(
-        "congestion.victimSlowdown", cfg.congestion.victimSlowdown);
-    cfg.congestion.validate();
-    cfg.profile.enabled =
-        conf.getBool("profile.enabled", cfg.profile.enabled);
-    cfg.profile.interval = static_cast<Cycle>(conf.getInt(
-        "profile.interval",
-        static_cast<long>(cfg.profile.interval)));
-    cfg.profile.validate();
-}
 
 /**
  * Record an experiment's latency-anatomy results (when enabled) into
@@ -284,56 +242,37 @@ recordProfile(Experiment &exp, BenchArgs &args,
             p->phaseNs(static_cast<ProfPhase>(ph)));
 }
 
-/** Assemble an experiment with synthetic traffic on every node. */
-inline std::unique_ptr<Experiment>
-makeSyntheticExperiment(const std::string &topology, NicKind kind,
-                        int nodes, const SyntheticParams &sp,
-                        std::uint64_t seed,
-                        bool exploitInOrder = true,
-                        const Config *telemetry = nullptr)
-{
-    ExperimentConfig cfg;
-    cfg.topology = topology;
-    cfg.numNodes = nodes;
-    cfg.nicKind = kind;
-    cfg.seed = seed;
-    cfg.exploitInOrder = exploitInOrder;
-    cfg.msg.packetWords = 8; // the synthetic benchmark's packet size
-    if (telemetry)
-        applyTelemetry(cfg, *telemetry);
-    auto exp = std::make_unique<Experiment>(cfg);
-    for (NodeId n = 0; n < exp->numNodes(); ++n)
-        exp->setWorkload(n, std::make_unique<SyntheticWorkload>(
-                                exp->proc(n), exp->msg(n),
-                                exp->barrier(), exp->numNodes(), sp,
-                                seed));
-    return exp;
-}
-
 /**
- * Packets delivered by synthetic traffic in a fixed window. When
- * @p blameInto is given, whichever attribution sinks the telemetry
- * config enables (latency anatomy, congestion observatory) are
- * recorded into the bench report under "anatomy.<blameTag>." /
- * "congestion.<blameTag>." names.
+ * Packets delivered by synthetic traffic on every node in a fixed
+ * window, on an experiment that starts from @p cfg (pass a bench's
+ * BenchArgs::base to apply its observer knobs). When @p blameInto is
+ * given, whichever attribution sinks are enabled (latency anatomy,
+ * congestion observatory) are recorded into the bench report under
+ * "anatomy.<blameTag>." / "congestion.<blameTag>." names.
  */
 inline std::uint64_t
 syntheticThroughput(const std::string &topology, NicKind kind,
                     const SyntheticParams &sp, Cycle cycles, int nodes,
-                    std::uint64_t seed,
-                    const Config *telemetry = nullptr,
+                    std::uint64_t seed, ExperimentConfig cfg = {},
                     BenchArgs *blameInto = nullptr,
                     const std::string &blameTag = "")
 {
-    auto exp = makeSyntheticExperiment(topology, kind, nodes, sp,
-                                       seed, true, telemetry);
-    exp->runFor(cycles);
-    std::uint64_t delivered = exp->packetsDelivered();
+    cfg.topology = topology;
+    cfg.numNodes = nodes;
+    cfg.nicKind = kind;
+    cfg.seed = seed;
+    cfg.msg.packetWords = 8; // the synthetic benchmark's packet size
+    Experiment exp(cfg);
+    for (NodeId n = 0; n < exp.numNodes(); ++n)
+        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
+                               exp.proc(n), exp.msg(n), exp.barrier(),
+                               exp.numNodes(), sp, seed));
+    exp.runFor(cycles);
     if (blameInto) {
-        recordAnatomy(*exp, *blameInto, blameTag);
-        recordCongestion(*exp, *blameInto, blameTag);
+        recordAnatomy(exp, *blameInto, blameTag);
+        recordCongestion(exp, *blameInto, blameTag);
     }
-    return delivered;
+    return exp.packetsDelivered();
 }
 
 } // namespace nifdy

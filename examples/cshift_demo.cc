@@ -5,8 +5,9 @@
  * your choice and prints a live per-receiver congestion strip plus
  * final statistics.
  *
- * Usage: cshift_demo [nic=nifdy|none|buffers] [nodes=64]
+ * Usage: cshift_demo [nic=nifdy|none|buffers|lossy] [nodes=64]
  *                    [topology=cm5] [words=120] [barriers=false]
+ * plus every other experiment knob (see --help).
  */
 
 #include <cstdio>
@@ -25,31 +26,28 @@ main(int argc, char **argv)
     setQuiet(true);
     Config conf;
     conf.parseArgs(argc, argv);
-
-    ExperimentConfig cfg;
-    cfg.topology = conf.getString("topology", "cm5");
-    cfg.numNodes = static_cast<int>(conf.getInt("nodes", 64));
-    std::string nic = conf.getString("nic", "nifdy");
-    cfg.nicKind = nic == "none"      ? NicKind::none
-                  : nic == "buffers" ? NicKind::buffers
-                                     : NicKind::nifdy;
-    cfg.msg.packetWords = 6;
+    ExperimentConfig base;
+    base.topology = "cm5";
+    base.msg.packetWords = 6;
+    ExperimentConfig cfg = experimentFromConfig(conf, base);
+    CShiftParams cp;
+    conf.knob("words", cp.wordsPerPair, "payload words per pair");
+    conf.knob("barriers", cp.barriers, "barrier between shift steps");
+    conf.close();
     Experiment exp(cfg);
 
-    CShiftParams cp;
-    cp.wordsPerPair = static_cast<int>(conf.getInt("words", 120));
-    cp.barriers = conf.getBool("barriers", false);
     CShiftBoard board(exp.numNodes());
     for (NodeId n = 0; n < exp.numNodes(); ++n) {
         exp.nic(n).setInjectBoard(&board.injected);
         exp.setWorkload(n, std::make_unique<CShiftWorkload>(
                                exp.proc(n), exp.msg(n), exp.barrier(),
-                               exp.numNodes(), cp, board, 1));
+                               exp.numNodes(), cp, board, cfg.seed));
     }
 
     std::printf("C-shift on %s with nic=%s: one line per 20k cycles,"
                 " one char per receiver\n",
-                exp.network().name().c_str(), nic.c_str());
+                exp.network().name().c_str(),
+                nicKindName(cfg.nicKind));
     const char shades[] = " .:-=+*#%@";
     int worst = 0;
     while (!exp.allDone() && exp.kernel().now() < 20000000) {

@@ -56,18 +56,25 @@ main(int argc, char **argv)
     setQuiet(true);
     Config conf;
     conf.parseArgs(argc, argv);
-    std::string topo = conf.getString("topology", "fattree");
-    int nodes = static_cast<int>(conf.getInt("nodes", 64));
-    int iters = static_cast<int>(conf.getInt("iters", 3));
-    std::uint64_t seed = conf.getInt("seed", 1);
-    std::string preset = conf.getString("preset", "light");
+    std::string topo = "fattree";
+    conf.knob("topology", topo, "network topology");
+    int nodes = 64;
+    conf.knob("nodes", nodes, "number of processors");
+    int iters = 3;
+    conf.knob("iters", iters, "EM3D iterations per NIC kind");
+    std::uint64_t seed = 1;
+    conf.knob("seed", seed, "graph and experiment RNG seed");
+    bool heavy = false;
+    conf.choice("preset", heavy, {{"light", false}, {"heavy", true}},
+                "communication preset");
+    conf.close();
 
-    Em3dParams params = preset == "heavy" ? Em3dParams::heavy()
-                                          : Em3dParams::light();
+    Em3dParams params = heavy ? Em3dParams::heavy() : Em3dParams::light();
     Em3dGraph graph(nodes, params, seed);
     std::printf("EM3D graph: %d processors, %ld remote words per"
                 " iteration (%s preset)\n",
-                nodes, graph.totalRemoteWords(), preset.c_str());
+                nodes, graph.totalRemoteWords(),
+                heavy ? "heavy" : "light");
 
     Table t("EM3D on " + topo + ": cycles per iteration");
     t.header({"nic", "cycles/iter", "speedup vs none"});

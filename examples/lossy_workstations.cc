@@ -26,18 +26,28 @@ main(int argc, char **argv)
     setQuiet(true);
     Config conf;
     conf.parseArgs(argc, argv);
-    double drop = conf.getDouble("drop", 0.1);
-    Cycle timeout = conf.getInt("timeout", 3000);
-    int packets = static_cast<int>(conf.getInt("packets", 40));
-    int nodes = static_cast<int>(conf.getInt("nodes", 16));
-    std::uint64_t seed = conf.getInt("seed", 1);
+    LossyConfig lcfg;
+    lcfg.dropProb = 0.1;
+    conf.knob("drop", lcfg.dropProb, "receiver-side drop probability");
+    lcfg.retxTimeout = 3000;
+    conf.knob("timeout", lcfg.retxTimeout,
+              "retransmit timeout in cycles");
+    int packets = 40;
+    conf.knob("packets", packets, "packets in the bulk transfer");
+    int nodes = 16;
+    conf.knob("nodes", nodes, "number of nodes");
+    std::string topology = "fattree";
+    conf.knob("topology", topology, "network topology");
+    std::uint64_t seed = 1;
+    conf.knob("seed", seed, "network and NIC RNG seed");
+    conf.close();
 
     // Assemble a network with lossy NIFDY NICs by hand, to show the
     // library's lower-level API.
     NetworkParams np;
     np.numNodes = nodes;
     np.seed = seed;
-    auto net = makeNetwork(conf.getString("topology", "fattree"), np);
+    auto net = makeNetwork(topology, np);
     Kernel kernel;
     net->addToKernel(kernel);
     PacketPool pool;
@@ -47,9 +57,6 @@ main(int argc, char **argv)
     ncfg.pool = 8;
     ncfg.dialogs = 1;
     ncfg.window = 8;
-    LossyConfig lcfg;
-    lcfg.dropProb = drop;
-    lcfg.retxTimeout = timeout;
 
     std::vector<std::unique_ptr<LossyNifdyNic>> nics;
     for (NodeId n = 0; n < nodes; ++n) {
@@ -100,7 +107,7 @@ main(int argc, char **argv)
     });
 
     Table t("lossy workstation network, drop=" +
-            Table::num(drop * 100, 1) + "%");
+            Table::num(lcfg.dropProb * 100, 1) + "%");
     t.header({"metric", "value"});
     t.row({"packets sent by app", Table::num(long(packets))});
     t.row({"packets received", Table::num(long(received))});

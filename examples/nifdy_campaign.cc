@@ -19,7 +19,7 @@
  *   --resume        continue the journal already in DIR
  *   --worker CMD    worker command (space-split into argv; default:
  *                   the run_experiment binary next to this one)
- *   --help          print the campaign.* key reference
+ *   --help          print the campaign.* key and flag reference
  *   campaign.K=V    engine knobs; command line beats the spec's
  *                   campaign{} block (see --help)
  *
@@ -76,46 +76,32 @@ int
 runCampaign(int argc, char **argv)
 {
     Config conf;
-    std::vector<std::string> leftovers = conf.parseArgs(argc, argv);
-
+    conf.parseArgs(argc, argv);
     std::string specPath, dir, workerCmd;
-    bool resume = false, help = false;
-    for (std::size_t i = 0; i < leftovers.size(); ++i) {
-        const std::string &arg = leftovers[i];
-        if (arg == "--help") {
-            help = true;
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--spec" && i + 1 < leftovers.size()) {
-            specPath = leftovers[++i];
-        } else if (arg == "--dir" && i + 1 < leftovers.size()) {
-            dir = leftovers[++i];
-        } else if (arg == "--worker" && i + 1 < leftovers.size()) {
-            workerCmd = leftovers[++i];
-        } else {
-            fatal("unknown argument '%s' (see --help)", arg.c_str());
-        }
-    }
-    if (help) {
-        printRaw(campaignCliHelp());
-        printRaw("driver flags:\n"
-                 "  --spec PATH   campaign-spec-1 document\n"
-                 "  --dir DIR     campaign directory\n"
-                 "  --resume      continue the journal in DIR\n"
-                 "  --worker CMD  worker command (space-split)\n");
-        return CampaignEngine::exitOk;
-    }
-    fatal_if(specPath.empty(), "--spec PATH is required (see --help)");
+    conf.flag("--spec", specPath, "campaign-spec-1 document (required)");
+    conf.flag("--dir", dir,
+              "campaign directory: journal, reports/, logs/, "
+              "aggregate.json (required)");
+    bool resume =
+        conf.flag("--resume", "continue the journal already in DIR");
+    conf.flag("--worker", workerCmd,
+              "worker command, space-split (default: the "
+              "run_experiment next to this binary)");
 
-    CampaignSpec spec = CampaignSpec::parseFile(specPath);
     // Precedence: engine defaults < the spec's campaign{} block <
     // the command line. conf already holds the command line, so only
-    // fill in spec knobs the user did not override.
-    for (const auto &kv : spec.engineKnobs)
-        if (!conf.has(kv.first))
-            conf.set(kv.first, kv.second);
-
+    // fill in spec knobs the user did not override; the spec's keys
+    // then face the same unknown-key check as the command line's.
+    CampaignSpec spec;
+    if (!specPath.empty()) {
+        spec = CampaignSpec::parseFile(specPath);
+        for (const auto &kv : spec.engineKnobs)
+            if (!conf.has(kv.first))
+                conf.set(kv.first, kv.second);
+    }
     CampaignOptions opts = campaignFromConfig(conf);
+    conf.close();
+    fatal_if(specPath.empty(), "--spec PATH is required (see --help)");
     opts.dir = dir;
     opts.resume = resume;
     opts.workerCmd = splitCommand(

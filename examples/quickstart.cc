@@ -4,8 +4,9 @@
  * interfaces, run the heavy synthetic workload for a while, and
  * print throughput and latency statistics.
  *
- * Usage: quickstart [topology=fattree] [nic=nifdy|none|buffers]
+ * Usage: quickstart [topology=fattree] [nic=nifdy|none|buffers|lossy]
  *                   [cycles=200000] [nodes=64] [seed=1]
+ * plus every other experiment knob (see --help).
  */
 
 #include <cstdio>
@@ -22,16 +23,10 @@ main(int argc, char **argv)
 {
     Config conf;
     conf.parseArgs(argc, argv);
-
-    ExperimentConfig cfg;
-    cfg.topology = conf.getString("topology", "fattree");
-    cfg.numNodes = static_cast<int>(conf.getInt("nodes", 64));
-    cfg.seed = conf.getInt("seed", 1);
-    std::string nic = conf.getString("nic", "nifdy");
-    cfg.nicKind = nic == "none"      ? NicKind::none
-                  : nic == "buffers" ? NicKind::buffers
-                                     : NicKind::nifdy;
-    Cycle cycles = conf.getInt("cycles", 200000);
+    ExperimentConfig cfg = experimentFromConfig(conf);
+    Cycle cycles = 200000;
+    conf.knob("cycles", cycles, "cycles to run");
+    conf.close();
 
     Experiment exp(cfg);
     for (NodeId n = 0; n < exp.numNodes(); ++n)

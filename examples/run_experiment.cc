@@ -18,9 +18,10 @@
  *                   reports itself instead of hanging
  *   words=N         cshift payload words per pair (default 120)
  *   csv=true        emit the summary table as CSV too
- *   help=true       print the full key reference
+ *   --help          print the full key reference (or help=true)
  *   --list-knobs    print every config knob as name, default, doc
  *                   (tab-separated, one per line) and exit
+ * Any other key or flag is fatal, with the nearest known key named.
  *
  * This is also the binary CI uses to exercise the telemetry stack:
  *   run_experiment workload=cshift nic=lossy fault.dropProb=0.001 \
@@ -43,62 +44,37 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    std::vector<std::string> leftovers = conf.parseArgs(argc, argv);
+    conf.parseArgs(argc, argv);
     std::string jsonPath;
-    for (std::size_t i = 0; i < leftovers.size(); ++i) {
-        if (leftovers[i] == "--help")
-            conf.set("help", true);
-        if (leftovers[i] == "--list-knobs") {
-            printRaw(experimentKnobList());
-            printRaw("workload\theavy\t"
-                     "workload kind: heavy, light, cshift, "
-                     "collective, idle\n"
-                     "cycles\t200000\tcycle budget\n"
-                     "timeout\t0\thard cycle guard; note run.timeout "
-                     "when the workload did not finish (0 = off)\n"
-                     "words\t120\tcshift payload words per pair\n"
-                     "phases\t9\tcollective phases "
-                     "(barrier/bcast/reduce rotation)\n"
-                     "collData\t0\tdata messages per collective "
-                     "phase per node\n"
-                     "csv\tfalse\temit the summary table as CSV too\n");
-            return 0;
-        }
-        if (leftovers[i] == "--json" && i + 1 < leftovers.size())
-            jsonPath = leftovers[i + 1];
-    }
-    if (conf.getBool("help", false)) {
-        printRaw(experimentCliHelp());
-        printRaw("runner keys:\n"
-                 "  workload=KIND          heavy, light, cshift, "
-                 "collective, idle\n"
-                 "  cycles=N               cycle budget\n"
-                 "  timeout=N              hard cycle guard (0 = "
-                 "off)\n"
-                 "  words=N                cshift payload words per "
-                 "pair\n"
-                 "  phases=N               collective phases "
-                 "(barrier/bcast/reduce)\n"
-                 "  collData=N             data messages per "
-                 "collective phase per node\n"
-                 "  csv=BOOL               CSV summary table\n"
-                 "  --json PATH            write the JSON run "
-                 "report\n");
-        return 0;
-    }
-
+    conf.flag("--json", jsonPath, "write the JSON run report here");
     ExperimentConfig cfg = experimentFromConfig(conf);
-    Cycle cycles = conf.getInt("cycles", 200000);
-    long timeoutRaw = conf.getInt("timeout", 0);
-    fatal_if(timeoutRaw < 0, "timeout must be >= 0");
-    Cycle timeout = static_cast<Cycle>(timeoutRaw);
+    std::string workload = "heavy";
+    conf.knob("workload", workload,
+              "workload kind: heavy, light, cshift, collective, idle");
+    Cycle cycles = 200000;
+    conf.knob("cycles", cycles, "cycle budget");
+    Cycle timeout = 0;
+    conf.knob("timeout", timeout,
+              "hard cycle guard; note run.timeout when the workload did "
+              "not finish (0 = off)");
+    CShiftParams shift;
+    conf.knob("words", shift.wordsPerPair,
+              "cshift payload words per pair");
+    CollectiveParams coll;
+    conf.knob("phases", coll.phases,
+              "collective phases (barrier/bcast/reduce rotation)");
+    conf.knob("collData", coll.dataMsgs,
+              "data messages per collective phase per node");
+    bool csv = false;
+    conf.knob("csv", csv, "emit the summary table as CSV too");
+    conf.close();
+
     // The guard caps the budget; a workload that needed more cycles
     // shows up as run.timeout=1 in the report instead of running
     // (or hanging) unbounded under a campaign supervisor.
     Cycle budget = cycles;
     if (timeout > 0 && timeout < budget)
         budget = timeout;
-    std::string workload = conf.getString("workload", "heavy");
 
     Experiment exp(cfg);
     CShiftBoard board(exp.numNodes());
@@ -112,28 +88,21 @@ main(int argc, char **argv)
                                    exp.barrier(), exp.numNodes(), sp,
                                    cfg.seed));
     } else if (workload == "cshift") {
-        CShiftParams cp;
-        cp.wordsPerPair =
-            static_cast<int>(conf.getInt("words", 120));
         for (NodeId n = 0; n < exp.numNodes(); ++n) {
             exp.nic(n).setInjectBoard(&board.injected);
             exp.setWorkload(n, std::make_unique<CShiftWorkload>(
                                    exp.proc(n), exp.msg(n),
-                                   exp.barrier(), exp.numNodes(), cp,
+                                   exp.barrier(), exp.numNodes(), shift,
                                    board, cfg.seed));
         }
     } else if (workload == "collective") {
-        CollectiveParams cp;
-        cp.phases = static_cast<int>(conf.getInt("phases", cp.phases));
-        cp.dataMsgs =
-            static_cast<int>(conf.getInt("collData", cp.dataMsgs));
         // Software mode runs the same tree shape the NIC engines
         // would, so offload vs software compares like for like.
-        cp.arity = cfg.coll.arity;
+        coll.arity = cfg.coll.arity;
         for (NodeId n = 0; n < exp.numNodes(); ++n)
             exp.setWorkload(n, std::make_unique<CollectiveWorkload>(
                                    exp.proc(n), exp.msg(n),
-                                   exp.barrier(), exp.numNodes(), cp,
+                                   exp.barrier(), exp.numNodes(), coll,
                                    cfg.seed));
     } else if (workload != "idle") {
         fatal("unknown workload '%s' (want heavy, light, cshift, "
@@ -160,7 +129,7 @@ main(int argc, char **argv)
                     std::to_string(ran) + " of a " +
                     std::to_string(cycles) + "-cycle budget)");
     }
-    rep.print(conf.getBool("csv", false));
+    rep.print(csv);
     if (!jsonPath.empty())
         rep.writeJson(jsonPath);
     return 0;

@@ -23,9 +23,13 @@ main(int argc, char **argv)
     setQuiet(true);
     Config conf;
     conf.parseArgs(argc, argv);
-    std::string topo = conf.getString("topology", "mesh2d");
-    int nodes = static_cast<int>(conf.getInt("nodes", 64));
-    std::uint64_t seed = conf.getInt("seed", 1);
+    std::string topo = "mesh2d";
+    conf.knob("topology", topo, "network topology");
+    int nodes = 64;
+    conf.knob("nodes", nodes, "number of nodes");
+    std::uint64_t seed = 1;
+    conf.knob("seed", seed, "network RNG seed");
+    conf.close();
 
     // Measure unloaded latency at a few distances with plain NICs.
     NetworkParams np;

@@ -67,45 +67,6 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** One campaign.* knob: name, default, one-line doc. The table is
- * the --help / campaignKnobList() source of truth and is parsed by
- * tools/nifdylint (knob-documented + knob-in-design rules). */
-struct KnobDoc
-{
-    const char *name;
-    const char *def;
-    const char *doc;
-};
-
-const KnobDoc campaignKnobDocs[] = {
-    {"campaign.workers", "4",
-     "parallel worker subprocesses the engine fans jobs across"},
-    {"campaign.retryMax", "3",
-     "retries per job after the first failure before it is marked "
-     "failed"},
-    {"campaign.backoffBaseMs", "100",
-     "retry backoff after the first failure, milliseconds"},
-    {"campaign.backoffFactor", "2",
-     "backoff multiplier per further failure (exponential)"},
-    {"campaign.backoffMaxMs", "5000", "backoff ceiling, milliseconds"},
-    {"campaign.jitterFrac", "0.25",
-     "seeded +/- jitter fraction applied to each backoff, [0, 1)"},
-    {"campaign.wallTimeoutMs", "30000",
-     "per-attempt wall-clock budget; SIGTERM at the deadline, "
-     "SIGKILL one grace period later"},
-    {"campaign.termGraceMs", "2000",
-     "SIGTERM -> SIGKILL escalation delay, milliseconds"},
-    {"campaign.jobTimeout", "0",
-     "forwarded to every worker as its timeout=CYCLES self-guard "
-     "(0 = off)"},
-    {"campaign.pollMs", "2",
-     "supervisor poll interval while workers run, milliseconds"},
-    {"campaign.seed", "1", "engine RNG seed (backoff jitter)"},
-    {"campaign.failpoint", "0",
-     "crash-injection test hook: _exit(137) after N journal appends "
-     "(0 = off)"},
-};
-
 } // namespace
 
 std::uint64_t
@@ -318,49 +279,37 @@ CampaignOptions
 campaignFromConfig(const Config &conf)
 {
     CampaignOptions o;
-    o.workers =
-        static_cast<int>(conf.getInt("campaign.workers", o.workers));
-    o.retryMax = static_cast<int>(
-        conf.getInt("campaign.retryMax", o.retryMax));
-    o.backoffBaseMs =
-        conf.getDouble("campaign.backoffBaseMs", o.backoffBaseMs);
-    o.backoffFactor =
-        conf.getDouble("campaign.backoffFactor", o.backoffFactor);
-    o.backoffMaxMs =
-        conf.getDouble("campaign.backoffMaxMs", o.backoffMaxMs);
-    o.jitterFrac =
-        conf.getDouble("campaign.jitterFrac", o.jitterFrac);
-    o.wallTimeoutMs =
-        conf.getDouble("campaign.wallTimeoutMs", o.wallTimeoutMs);
-    o.termGraceMs =
-        conf.getDouble("campaign.termGraceMs", o.termGraceMs);
-    o.jobTimeout = conf.getInt("campaign.jobTimeout", o.jobTimeout);
-    o.pollMs = conf.getDouble("campaign.pollMs", o.pollMs);
-    o.seed = static_cast<std::uint64_t>(
-        conf.getInt("campaign.seed", static_cast<long>(o.seed)));
-    o.failpoint = conf.getInt("campaign.failpoint", o.failpoint);
+    conf.knob("campaign.workers", o.workers,
+              "parallel worker subprocesses the engine fans jobs across");
+    conf.knob("campaign.retryMax", o.retryMax,
+              "retries per job after the first failure before it is "
+              "marked failed");
+    conf.knob("campaign.backoffBaseMs", o.backoffBaseMs,
+              "retry backoff after the first failure, milliseconds");
+    conf.knob("campaign.backoffFactor", o.backoffFactor,
+              "backoff multiplier per further failure (exponential)");
+    conf.knob("campaign.backoffMaxMs", o.backoffMaxMs,
+              "backoff ceiling, milliseconds");
+    conf.knob("campaign.jitterFrac", o.jitterFrac,
+              "seeded +/- jitter fraction applied to each backoff, "
+              "[0, 1)");
+    conf.knob("campaign.wallTimeoutMs", o.wallTimeoutMs,
+              "per-attempt wall-clock budget; SIGTERM at the deadline, "
+              "SIGKILL one grace period later");
+    conf.knob("campaign.termGraceMs", o.termGraceMs,
+              "SIGTERM -> SIGKILL escalation delay, milliseconds");
+    conf.knob("campaign.jobTimeout", o.jobTimeout,
+              "forwarded to every worker as its timeout=CYCLES "
+              "self-guard (0 = off)");
+    conf.knob("campaign.pollMs", o.pollMs,
+              "supervisor poll interval while workers run, "
+              "milliseconds");
+    conf.knob("campaign.seed", o.seed,
+              "engine RNG seed (backoff jitter)");
+    conf.knob("campaign.failpoint", o.failpoint,
+              "crash-injection test hook: _exit(137) after N journal "
+              "appends (0 = off)");
     return o;
-}
-
-std::string
-campaignCliHelp()
-{
-    std::ostringstream os;
-    os << "campaign keys (key=value; spec campaign{} < command "
-          "line):\n";
-    for (const KnobDoc &k : campaignKnobDocs)
-        os << "  " << k.name << " (default " << k.def << ")\n      "
-           << k.doc << "\n";
-    return os.str();
-}
-
-std::string
-campaignKnobList()
-{
-    std::ostringstream os;
-    for (const KnobDoc &k : campaignKnobDocs)
-        os << k.name << "\t" << k.def << "\t" << k.doc << "\n";
-    return os.str();
 }
 
 CampaignEngine::CampaignEngine(CampaignSpec spec, CampaignOptions opts)

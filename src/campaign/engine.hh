@@ -88,7 +88,7 @@ struct CampaignSpec
  * same jobs may resume each other; anything else must refuse. */
 std::uint64_t campaignSpecHash(const std::vector<CampaignJob> &jobs);
 
-/** Engine policy; campaign.* knobs (see campaignKnobList()). */
+/** Engine policy; campaign.* knobs (see campaignFromConfig()). */
 struct CampaignOptions
 {
     std::string dir;      //!< journal, reports/, logs/, aggregate
@@ -110,15 +110,9 @@ struct CampaignOptions
     void validate() const;
 };
 
-/** Read the campaign.* knobs out of @p conf (range-checked). */
+/** Bind the campaign.* knobs of @p conf (CampaignOptions::validate()
+ * checks their ranges). */
 CampaignOptions campaignFromConfig(const Config &conf);
-
-/** Human-readable campaign.* key reference. */
-std::string campaignCliHelp();
-
-/** Machine-readable "name<TAB>default<TAB>doc" knob lines (parsed by
- * tools/nifdylint; every knob must be documented in DESIGN.md). */
-std::string campaignKnobList();
 
 /** Final state of one job after a campaign (test introspection). */
 struct JobOutcome

@@ -1136,64 +1136,107 @@ Experiment::fillReport(RunReport &rep) const
     rep.addTable(statsTable());
 }
 
-ExperimentConfig
-experimentFromConfig(const Config &conf)
+void
+bindTelemetry(const Config &conf, ExperimentConfig &cfg)
 {
-    ExperimentConfig cfg;
-    cfg.topology = conf.getString("topology", cfg.topology);
-    cfg.numNodes =
-        static_cast<int>(conf.getInt("nodes", cfg.numNodes));
-    cfg.seed = static_cast<std::uint64_t>(
-        conf.getInt("seed", static_cast<long>(cfg.seed)));
-    cfg.watchdog = static_cast<Cycle>(
-        conf.getInt("watchdog", static_cast<long>(cfg.watchdog)));
-    cfg.barrierLatency = static_cast<Cycle>(conf.getInt(
-        "barrierLatency", static_cast<long>(cfg.barrierLatency)));
-    cfg.audit = conf.getBool("audit", cfg.audit);
-    cfg.exploitInOrder =
-        conf.getBool("exploitInOrder", cfg.exploitInOrder);
+    conf.knob("trace.path", cfg.trace.path,
+              "write a Chrome-trace-event packet-lifecycle trace here");
+    conf.knob("trace.sampleRate", cfg.trace.sampleRate,
+              "fraction of packet lifecycles traced, [0, 1]");
+    conf.knob("trace.maxEvents", cfg.trace.maxEvents,
+              "hard event budget per trace file");
+    conf.knob("trace.seed", cfg.trace.seed,
+              "sampling hash seed (0 = experiment seed)");
+    cfg.trace.validate();
 
-    std::string nic = conf.getString("nic", "nifdy");
-    if (nic == "none")
-        cfg.nicKind = NicKind::none;
-    else if (nic == "buffers")
-        cfg.nicKind = NicKind::buffers;
-    else if (nic == "nifdy")
-        cfg.nicKind = NicKind::nifdy;
-    else if (nic == "lossy" || nic == "nifdy-lossy")
-        cfg.nicKind = NicKind::lossy;
-    else
-        fatal("unknown nic kind '%s' (want none, buffers, nifdy, "
-              "or lossy)",
-              nic.c_str());
+    conf.knob("metrics.path", cfg.metrics.path,
+              "write periodic metric snapshots (JSONL) here");
+    conf.knob("metrics.interval", cfg.metrics.interval,
+              "cycles between metric snapshots");
+    cfg.metrics.validate();
 
-    if (conf.has("nifdy.opt") || conf.has("nifdy.pool") ||
-        conf.has("nifdy.dialogs") || conf.has("nifdy.window")) {
-        cfg.nifdyExplicit = true;
-        cfg.nifdy.opt = static_cast<int>(
-            conf.getInt("nifdy.opt", cfg.nifdy.opt));
-        cfg.nifdy.pool = static_cast<int>(
-            conf.getInt("nifdy.pool", cfg.nifdy.pool));
-        cfg.nifdy.dialogs = static_cast<int>(
-            conf.getInt("nifdy.dialogs", cfg.nifdy.dialogs));
-        cfg.nifdy.window = static_cast<int>(
-            conf.getInt("nifdy.window", cfg.nifdy.window));
-    }
+    conf.knob("anatomy.enabled", cfg.anatomy.enabled,
+              "latency anatomy: per-packet stall-cause attribution");
+    conf.knob("anatomy.sampleRate", cfg.anatomy.sampleRate,
+              "fraction of packet lifecycles attributed, [0, 1]");
+    conf.knob("anatomy.seed", cfg.anatomy.seed,
+              "anatomy sampling hash seed (0 = experiment seed)");
+    cfg.anatomy.validate();
 
-    cfg.lossy.dropProb =
-        conf.getDouble("lossy.dropProb", cfg.lossy.dropProb);
-    cfg.lossy.retxTimeout = static_cast<Cycle>(conf.getInt(
-        "lossy.retxTimeout",
-        static_cast<long>(cfg.lossy.retxTimeout)));
-    cfg.lossy.backoffFactor = conf.getDouble(
-        "lossy.backoffFactor", cfg.lossy.backoffFactor);
-    cfg.lossy.maxRetxTimeout = static_cast<Cycle>(conf.getInt(
-        "lossy.maxRetxTimeout",
-        static_cast<long>(cfg.lossy.maxRetxTimeout)));
-    cfg.lossy.jitterFrac =
-        conf.getDouble("lossy.jitterFrac", cfg.lossy.jitterFrac);
-    cfg.lossy.maxRetries = static_cast<int>(
-        conf.getInt("lossy.maxRetries", cfg.lossy.maxRetries));
+    conf.knob("congestion.enabled", cfg.congestion.enabled,
+              "congestion observatory: per-link stall maps, per-flow "
+              "progress, victim/aggressor episodes");
+    conf.knob("congestion.window", cfg.congestion.window,
+              "congestion accounting window length in cycles");
+    conf.knob("congestion.onFrac", cfg.congestion.onFrac,
+              "episode opens at window stall fraction >= onFrac");
+    conf.knob("congestion.offFrac", cfg.congestion.offFrac,
+              "episode closes at window stall fraction < offFrac");
+    conf.knob("congestion.aggressorShare",
+              cfg.congestion.aggressorShare,
+              "aggressor threshold: share of an episode's flits");
+    conf.knob("congestion.victimSlowdown",
+              cfg.congestion.victimSlowdown,
+              "victim threshold: mean latency over isolation baseline");
+    cfg.congestion.validate();
+
+    conf.knob("profile.enabled", cfg.profile.enabled,
+              "host-cost profiler: per-component host-time and "
+              "idle-work attribution");
+    conf.knob("profile.interval", cfg.profile.interval,
+              "cycles between profiler host-clock samples");
+    cfg.profile.validate();
+}
+
+ExperimentConfig
+experimentFromConfig(const Config &conf, ExperimentConfig cfg)
+{
+    conf.knob("topology", cfg.topology,
+              "network topology: mesh2d, mesh3d, torus2d, fattree, "
+              "fattree-saf, cm5, butterfly, multibutterfly, "
+              "mesh2d-adaptive");
+    conf.knob("nodes", cfg.numNodes, "number of nodes");
+    conf.choice("nic", cfg.nicKind,
+                {{"none", NicKind::none},
+                 {"buffers", NicKind::buffers},
+                 {"nifdy", NicKind::nifdy},
+                 {"lossy", NicKind::lossy},
+                 {"nifdy-lossy", NicKind::lossy}},
+                "NIC kind");
+    conf.knob("seed", cfg.seed, "experiment RNG seed");
+    conf.knob("watchdog", cfg.watchdog, "idle-cycle watchdog limit");
+    conf.knob("barrierLatency", cfg.barrierLatency,
+              "barrier network release latency");
+    conf.knob("audit", cfg.audit, "attach the invariant-audit layer");
+    conf.knob("exploitInOrder", cfg.exploitInOrder,
+              "software exploits in-order delivery when available");
+
+    // Table 3's per-topology values are the defaults; setting any
+    // nifdy.* key overrides just that one.
+    cfg.nifdy = bestNifdyParams(cfg.topology);
+    conf.knob("nifdy.opt", cfg.nifdy.opt,
+              "OPT entries (outstanding-packet table size)");
+    conf.knob("nifdy.pool", cfg.nifdy.pool, "send-pool entries");
+    conf.knob("nifdy.dialogs", cfg.nifdy.dialogs,
+              "simultaneous bulk dialogs");
+    conf.knob("nifdy.window", cfg.nifdy.window,
+              "bulk dialog window size");
+    cfg.nifdyExplicit = conf.has("nifdy.opt") || conf.has("nifdy.pool") ||
+                        conf.has("nifdy.dialogs") ||
+                        conf.has("nifdy.window");
+
+    conf.knob("lossy.dropProb", cfg.lossy.dropProb,
+              "receiver-side drop probability, [0, 1)");
+    conf.knob("lossy.retxTimeout", cfg.lossy.retxTimeout,
+              "initial retransmit timeout in cycles");
+    conf.knob("lossy.backoffFactor", cfg.lossy.backoffFactor,
+              "timeout multiplier per retry (1 = fixed timer)");
+    conf.knob("lossy.maxRetxTimeout", cfg.lossy.maxRetxTimeout,
+              "backoff ceiling in cycles (0 = 16x lossy.retxTimeout)");
+    conf.knob("lossy.jitterFrac", cfg.lossy.jitterFrac,
+              "retransmit deadline jitter fraction, [0, 1)");
+    conf.knob("lossy.maxRetries", cfg.lossy.maxRetries,
+              "declare a peer dead after N retries (0 = retry forever)");
     cfg.lossy.validate();
 
     cfg.fault = FaultPlan::fromConfig(conf);
@@ -1204,358 +1247,52 @@ experimentFromConfig(const Config &conf)
     // base-NIFDY survivor would pin an OPT entry on a dead peer
     // forever. It must exceed the worst-case ack round trip
     // (including lossy backoff) or live peers get declared dead.
-    long reclaim = conf.getInt(
-        "node.reclaimTimeout",
-        cfg.nodeFault.active() ? 25000
-                               : static_cast<long>(cfg.nodeReclaim));
-    fatal_if(reclaim < 0, "node.reclaimTimeout must be >= 0");
-    cfg.nodeReclaim = static_cast<Cycle>(reclaim);
+    if (cfg.nodeFault.active())
+        cfg.nodeReclaim = 25000;
+    conf.knob("node.reclaimTimeout", cfg.nodeReclaim,
+              "live peers reclaim protocol state aimed at a silent peer "
+              "after N idle cycles (0 = off; 25000 when a node plan is "
+              "active)");
 
-    std::string coll = conf.getString("coll.offload", "off");
-    if (coll == "off" || coll == "software")
-        cfg.coll.offload = false;
-    else if (coll == "nic")
-        cfg.coll.offload = true;
-    else
-        fatal("unknown coll.offload '%s' (want off or nic)",
-              coll.c_str());
-    cfg.coll.arity = static_cast<int>(
-        conf.getInt("coll.arity", cfg.coll.arity));
-    cfg.coll.timeout = static_cast<Cycle>(conf.getInt(
-        "coll.timeout", static_cast<long>(cfg.coll.timeout)));
-    cfg.coll.backoffFactor = conf.getDouble("coll.backoffFactor",
-                                            cfg.coll.backoffFactor);
-    cfg.coll.maxTimeout = static_cast<Cycle>(conf.getInt(
-        "coll.maxTimeout", static_cast<long>(cfg.coll.maxTimeout)));
-    cfg.coll.jitterFrac =
-        conf.getDouble("coll.jitterFrac", cfg.coll.jitterFrac);
-    cfg.coll.maxRetries = static_cast<int>(
-        conf.getInt("coll.maxRetries", cfg.coll.maxRetries));
-    cfg.coll.probeTimeout = static_cast<Cycle>(conf.getInt(
-        "coll.probeTimeout",
-        static_cast<long>(cfg.coll.probeTimeout)));
-    cfg.coll.maxProbes = static_cast<int>(
-        conf.getInt("coll.maxProbes", cfg.coll.maxProbes));
-    cfg.coll.seed = static_cast<std::uint64_t>(conf.getInt(
-        "coll.seed", static_cast<long>(cfg.coll.seed)));
+    conf.choice("coll.offload", cfg.coll.offload,
+                {{"off", false}, {"software", false}, {"nic", true}},
+                "NIC-resident collectives (off or software: the "
+                "software barrier; nic: barrier/bcast/reduce combined "
+                "in the NIC step path)");
+    conf.knob("coll.arity", cfg.coll.arity,
+              "collective combining-tree fan-out (parent(n) = (n-1)/k)");
+    conf.knob("coll.timeout", cfg.coll.timeout,
+              "initial contribution retransmit timeout in cycles");
+    conf.knob("coll.backoffFactor", cfg.coll.backoffFactor,
+              "collective timeout multiplier per retransmission (>= 1)");
+    conf.knob("coll.maxTimeout", cfg.coll.maxTimeout,
+              "collective backoff ceiling in cycles (0 = 16x "
+              "coll.timeout)");
+    conf.knob("coll.jitterFrac", cfg.coll.jitterFrac,
+              "collective retransmit deadline jitter fraction, [0, 1)");
+    conf.knob("coll.maxRetries", cfg.coll.maxRetries,
+              "unanswered contribution rounds before a parent is "
+              "presumed dead and the child re-parents");
+    conf.knob("coll.probeTimeout", cfg.coll.probeTimeout,
+              "silence gate before (and between) probes of an awaited "
+              "child");
+    conf.knob("coll.maxProbes", cfg.coll.maxProbes,
+              "unanswered probes before a silent subtree is pruned (the "
+              "collective then completes degraded among survivors)");
+    conf.knob("coll.seed", cfg.coll.seed,
+              "collective jitter RNG seed (0 = experiment seed)");
     cfg.coll.validate();
 
-    cfg.trace.path = conf.getString("trace.path", cfg.trace.path);
-    cfg.trace.sampleRate =
-        conf.getDouble("trace.sampleRate", cfg.trace.sampleRate);
-    cfg.trace.maxEvents = static_cast<std::size_t>(conf.getInt(
-        "trace.maxEvents", static_cast<long>(cfg.trace.maxEvents)));
-    cfg.trace.seed = static_cast<std::uint64_t>(
-        conf.getInt("trace.seed", static_cast<long>(cfg.trace.seed)));
-    cfg.trace.validate();
-
-    cfg.metrics.path =
-        conf.getString("metrics.path", cfg.metrics.path);
-    cfg.metrics.interval = static_cast<Cycle>(conf.getInt(
-        "metrics.interval",
-        static_cast<long>(cfg.metrics.interval)));
-    cfg.metrics.validate();
-
-    cfg.anatomy.enabled =
-        conf.getBool("anatomy.enabled", cfg.anatomy.enabled);
-    cfg.anatomy.sampleRate = conf.getDouble("anatomy.sampleRate",
-                                            cfg.anatomy.sampleRate);
-    cfg.anatomy.seed = static_cast<std::uint64_t>(conf.getInt(
-        "anatomy.seed", static_cast<long>(cfg.anatomy.seed)));
-    cfg.anatomy.validate();
-
-    cfg.congestion.enabled =
-        conf.getBool("congestion.enabled", cfg.congestion.enabled);
-    cfg.congestion.window = static_cast<Cycle>(conf.getInt(
-        "congestion.window",
-        static_cast<long>(cfg.congestion.window)));
-    cfg.congestion.onFrac = conf.getDouble(
-        "congestion.onFrac", cfg.congestion.onFrac);
-    cfg.congestion.offFrac = conf.getDouble(
-        "congestion.offFrac", cfg.congestion.offFrac);
-    cfg.congestion.aggressorShare = conf.getDouble(
-        "congestion.aggressorShare", cfg.congestion.aggressorShare);
-    cfg.congestion.victimSlowdown = conf.getDouble(
-        "congestion.victimSlowdown", cfg.congestion.victimSlowdown);
-    cfg.congestion.validate();
-
-    cfg.profile.enabled =
-        conf.getBool("profile.enabled", cfg.profile.enabled);
-    cfg.profile.interval = static_cast<Cycle>(conf.getInt(
-        "profile.interval",
-        static_cast<long>(cfg.profile.interval)));
-    cfg.profile.validate();
+    bindTelemetry(conf, cfg);
     return cfg;
 }
-
-namespace
-{
-
-/** One CLI config knob: name, default as typed, one-line doc. The
- * table is the source of truth for --list-knobs and is parsed by
- * tools/lint.py (knob-in-design rule). */
-struct KnobDoc
-{
-    const char *name;
-    const char *def;
-    const char *doc;
-};
-
-const KnobDoc knobDocs[] = {
-    {"topology", "fattree",
-     "network topology: mesh2d, mesh3d, torus2d, fattree, "
-     "fattree-saf, cm5, butterfly, multibutterfly, mesh2d-adaptive"},
-    {"nodes", "64", "number of nodes"},
-    {"nic", "nifdy", "NIC kind: none, buffers, nifdy, lossy"},
-    {"seed", "1", "experiment RNG seed"},
-    {"watchdog", "2000000", "idle-cycle watchdog limit"},
-    {"barrierLatency", "100", "barrier network release latency"},
-    {"audit", "false", "attach the invariant-audit layer"},
-    {"exploitInOrder", "true",
-     "software exploits in-order delivery when available"},
-    {"nifdy.opt", "per-topology",
-     "OPT entries (outstanding-packet table size)"},
-    {"nifdy.pool", "per-topology", "send-pool entries"},
-    {"nifdy.dialogs", "per-topology", "simultaneous bulk dialogs"},
-    {"nifdy.window", "per-topology", "bulk dialog window size"},
-    {"lossy.dropProb", "0",
-     "receiver-side drop probability, [0, 1)"},
-    {"lossy.retxTimeout", "4000",
-     "initial retransmit timeout in cycles"},
-    {"lossy.backoffFactor", "1",
-     "timeout multiplier per retry (1 = fixed timer)"},
-    {"lossy.maxRetxTimeout", "0",
-     "backoff ceiling in cycles (0 = 16x lossy.retxTimeout)"},
-    {"lossy.jitterFrac", "0",
-     "retransmit deadline jitter fraction, [0, 1)"},
-    {"lossy.maxRetries", "0",
-     "declare a peer dead after N retries (0 = retry forever)"},
-    {"fault.dropProb", "0",
-     "per-hop in-fabric packet drop probability, [0, 1]"},
-    {"fault.corruptProb", "0",
-     "per-hop packet corruption probability, [0, 1]"},
-    {"fault.maxDrops", "-1",
-     "stop injecting after N packets hit (-1 = unlimited)"},
-    {"fault.seed", "0", "fault RNG seed (0 = experiment seed)"},
-    {"fault.linkDown", "",
-     "LINK@FROM[+DUR],... link outage windows"},
-    {"fault.portDown", "",
-     "ROUTER.PORT@FROM[+DUR],... router output-port failures"},
-    {"fault.downLinks", "0",
-     "additionally down N random internal links"},
-    {"fault.downFrom", "0", "random link outages start cycle"},
-    {"fault.downFor", "0",
-     "random link outage duration (0 = permanent)"},
-    {"node.crash", "",
-     "NODE@FROM[+DUR],... fail-stop schedules (+DUR = downtime "
-     "before restart; none = stays dead)"},
-    {"node.randomCrashes", "0", "crash N distinct random nodes"},
-    {"node.crashFrom", "0", "random crash-cycle window start"},
-    {"node.crashSpan", "0", "random crash-cycle window length"},
-    {"node.restartAfter", "0",
-     "downtime before each random crash restarts (0 = stays dead)"},
-    {"node.seed", "0",
-     "endpoint-fault RNG seed (0 = experiment seed)"},
-    {"node.reclaimTimeout", "0",
-     "live peers reclaim protocol state aimed at a silent peer "
-     "after N idle cycles (0 = off; 25000 when a node plan is "
-     "active)"},
-    {"coll.offload", "off",
-     "NIC-resident collectives: off (software barrier) or nic "
-     "(barrier/bcast/reduce combined in the NIC step path)"},
-    {"coll.arity", "4",
-     "collective combining-tree fan-out (parent(n) = (n-1)/k)"},
-    {"coll.timeout", "3000",
-     "initial contribution retransmit timeout in cycles"},
-    {"coll.backoffFactor", "2",
-     "collective timeout multiplier per retransmission (>= 1)"},
-    {"coll.maxTimeout", "0",
-     "collective backoff ceiling in cycles (0 = 16x coll.timeout)"},
-    {"coll.jitterFrac", "0.25",
-     "collective retransmit deadline jitter fraction, [0, 1)"},
-    {"coll.maxRetries", "6",
-     "unanswered contribution rounds before a parent is presumed "
-     "dead and the child re-parents"},
-    {"coll.probeTimeout", "6000",
-     "silence gate before (and between) probes of an awaited child"},
-    {"coll.maxProbes", "4",
-     "unanswered probes before a silent subtree is pruned (the "
-     "collective then completes degraded among survivors)"},
-    {"coll.seed", "0",
-     "collective jitter RNG seed (0 = experiment seed)"},
-    {"trace.path", "",
-     "write a Chrome-trace-event packet-lifecycle trace here"},
-    {"trace.sampleRate", "1",
-     "fraction of packet lifecycles traced, [0, 1]"},
-    {"trace.maxEvents", "1048576",
-     "hard event budget per trace file"},
-    {"trace.seed", "0",
-     "sampling hash seed (0 = experiment seed)"},
-    {"metrics.path", "",
-     "write periodic metric snapshots (JSONL) here"},
-    {"metrics.interval", "10000",
-     "cycles between metric snapshots"},
-    {"anatomy.enabled", "false",
-     "latency anatomy: per-packet stall-cause attribution"},
-    {"anatomy.sampleRate", "1",
-     "fraction of packet lifecycles attributed, [0, 1]"},
-    {"anatomy.seed", "0",
-     "anatomy sampling hash seed (0 = experiment seed)"},
-    {"congestion.enabled", "false",
-     "congestion observatory: per-link stall maps, per-flow "
-     "progress, victim/aggressor episodes"},
-    {"congestion.window", "1024",
-     "congestion accounting window length in cycles"},
-    {"congestion.onFrac", "0.5",
-     "episode opens at window stall fraction >= onFrac"},
-    {"congestion.offFrac", "0.25",
-     "episode closes at window stall fraction < offFrac"},
-    {"congestion.aggressorShare", "0.25",
-     "aggressor threshold: share of an episode's flits"},
-    {"congestion.victimSlowdown", "2",
-     "victim threshold: mean latency over isolation baseline"},
-    {"profile.enabled", "false",
-     "host-cost profiler: per-component host-time and idle-work "
-     "attribution"},
-    {"profile.interval", "32",
-     "cycles between profiler host-clock samples"},
-};
-
-} // namespace
 
 std::string
 experimentKnobList()
 {
-    std::ostringstream os;
-    for (const KnobDoc &k : knobDocs)
-        os << k.name << "\t" << k.def << "\t" << k.doc << "\n";
-    return os.str();
-}
-
-std::string
-experimentCliHelp()
-{
-    std::ostringstream os;
-    os << "experiment keys (key=value):\n"
-          "  topology=NAME          mesh2d, mesh3d, torus2d, "
-          "fattree, fattree-saf,\n"
-          "                         cm5, butterfly, multibutterfly, "
-          "mesh2d-adaptive\n"
-          "  nodes=N                number of nodes\n"
-          "  nic=KIND               none, buffers, nifdy, lossy\n"
-          "  seed=N                 experiment RNG seed\n"
-          "  watchdog=N             idle-cycle watchdog limit\n"
-          "  barrierLatency=N       barrier network latency\n"
-          "  audit=BOOL             attach the invariant audit\n"
-          "  exploitInOrder=BOOL    software uses in-order delivery\n"
-          "NIFDY protocol (setting any makes them explicit):\n"
-          "  nifdy.opt=N nifdy.pool=N nifdy.dialogs=N nifdy.window=N\n"
-          "lossy NIC (Section 6.2 retransmission, nic=lossy):\n"
-          "  lossy.dropProb=P       receiver-side drop probability "
-          "[0, 1)\n"
-          "  lossy.retxTimeout=N    initial retransmit timeout, "
-          "cycles >= 1\n"
-          "  lossy.backoffFactor=F  timeout multiplier per retry "
-          "(>= 1)\n"
-          "  lossy.maxRetxTimeout=N backoff ceiling (0 = 16x "
-          "lossy.retxTimeout)\n"
-          "  lossy.jitterFrac=F     deadline jitter fraction [0, 1)\n"
-          "  lossy.maxRetries=N     declare peer dead after N "
-          "retries (0 = never)\n"
-          "in-fabric fault injection:\n"
-          "  fault.dropProb=P       per-hop packet drop probability "
-          "[0, 1]\n"
-          "  fault.corruptProb=P    per-hop corruption probability "
-          "[0, 1]\n"
-          "  fault.maxDrops=N       stop injecting after N packets "
-          "(-1 = unlimited)\n"
-          "  fault.seed=N           fault RNG seed (0 = experiment "
-          "seed)\n"
-          "  fault.linkDown=SPECS   LINK@FROM[+DUR],... link "
-          "outage windows\n"
-          "  fault.portDown=SPECS   ROUTER.PORT@FROM[+DUR],... "
-          "port failures\n"
-          "  fault.downLinks=N      additionally down N random "
-          "internal links\n"
-          "  fault.downFrom=N       ...starting at this cycle\n"
-          "  fault.downFor=N        ...for this many cycles (0 = "
-          "permanently)\n"
-          "endpoint (node) fault injection:\n"
-          "  node.crash=SPECS       NODE@FROM[+DUR],... fail-stop "
-          "schedules\n"
-          "                         (+DUR = downtime before restart; "
-          "none = stays dead)\n"
-          "  node.randomCrashes=N   crash N distinct random nodes\n"
-          "  node.crashFrom=N       ...drawing crash cycles from "
-          "this cycle on\n"
-          "  node.crashSpan=N       ...across this many cycles\n"
-          "  node.restartAfter=N    ...each restarting after N "
-          "cycles down (0 = stays dead)\n"
-          "  node.seed=N            endpoint-fault RNG seed (0 = "
-          "experiment seed)\n"
-          "  node.reclaimTimeout=N  live peers reclaim protocol "
-          "state aimed at a silent\n"
-          "                         peer after N idle cycles (0 = "
-          "off; defaults to 25000\n"
-          "                         when a node-fault plan is "
-          "active)\n"
-          "NIC-resident collectives:\n"
-          "  coll.offload=MODE      off (software barrier) or nic "
-          "(NIC combining tree)\n"
-          "  coll.arity=K           combining-tree fan-out\n"
-          "  coll.timeout=N         initial contribution retransmit "
-          "timeout\n"
-          "  coll.backoffFactor=F   timeout multiplier per "
-          "retransmission (>= 1)\n"
-          "  coll.maxTimeout=N      backoff ceiling (0 = 16x "
-          "coll.timeout)\n"
-          "  coll.jitterFrac=F      retransmit jitter fraction "
-          "[0, 1)\n"
-          "  coll.maxRetries=N      silent-parent rounds before "
-          "re-parenting\n"
-          "  coll.probeTimeout=N    silence gate before probing an "
-          "awaited child\n"
-          "  coll.maxProbes=N       unanswered probes before a "
-          "subtree is pruned\n"
-          "  coll.seed=N            collective jitter RNG seed (0 = "
-          "experiment seed)\n"
-          "telemetry:\n"
-          "  trace.path=FILE        write a Chrome-trace-event "
-          "packet-lifecycle trace\n"
-          "  trace.sampleRate=P     fraction of packet lifecycles "
-          "traced [0, 1]\n"
-          "  trace.maxEvents=N      hard event budget per trace "
-          "file\n"
-          "  trace.seed=N           sampling hash seed (0 = "
-          "experiment seed)\n"
-          "  metrics.path=FILE      write periodic metric snapshots "
-          "(JSONL)\n"
-          "  metrics.interval=N     cycles between metric snapshots\n"
-          "  anatomy.enabled=BOOL   per-packet stall-cause "
-          "attribution (latency anatomy)\n"
-          "  anatomy.sampleRate=P   fraction of lifecycles "
-          "attributed [0, 1]\n"
-          "  anatomy.seed=N         anatomy sampling hash seed (0 = "
-          "experiment seed)\n"
-          "  congestion.enabled=BOOL per-link stall maps, per-flow "
-          "progress, and\n"
-          "                         victim/aggressor episodes\n"
-          "  congestion.window=N    congestion accounting window, "
-          "cycles\n"
-          "  congestion.onFrac=P    episode opens at stall fraction "
-          ">= P\n"
-          "  congestion.offFrac=P   episode closes at stall fraction "
-          "< P\n"
-          "  congestion.aggressorShare=P aggressor threshold, share "
-          "of episode flits\n"
-          "  congestion.victimSlowdown=F victim threshold, mean over "
-          "baseline latency\n"
-          "  profile.enabled=BOOL   host-cost profiler: "
-          "per-component host-time\n"
-          "                         and idle-work attribution\n"
-          "  profile.interval=N     cycles between profiler "
-          "host-clock samples\n";
-    return os.str();
+    Config conf;
+    experimentFromConfig(conf);
+    return conf.knobList();
 }
 
 } // namespace nifdy

@@ -57,8 +57,8 @@ struct ExperimentConfig
     std::string topology = "fattree";
     int numNodes = 64;
     NicKind nicKind = NicKind::nifdy;
-    /** NIFDY parameters; defaulted from bestNifdyParams() unless
-     * explicitly set (set nifdyExplicit). */
+    /** NIFDY parameters; the Experiment uses bestNifdyParams()
+     * instead unless nifdyExplicit is set. */
     NifdyConfig nifdy;
     bool nifdyExplicit = false;
     LossyConfig lossy;
@@ -279,21 +279,26 @@ class Experiment
 };
 
 /**
- * Build an ExperimentConfig from the key=value Config/CLI layer, so
- * every experiment -- including lossy and fault-injected ones -- is
- * runnable without recompiling. Unknown values and out-of-range
- * knobs are fatal(). See experimentCliHelp() for the key list.
+ * Bind every experiment knob onto @p cfg, whose current values are
+ * the listed defaults, so every experiment -- including lossy and
+ * fault-injected ones -- is runnable without recompiling. The nifdy.*
+ * defaults are bestNifdyParams() of the bound topology. Malformed
+ * values and out-of-range knobs are fatal(); unknown keys are left to
+ * the binary's closing Config::close() call.
  */
-ExperimentConfig experimentFromConfig(const Config &conf);
+ExperimentConfig experimentFromConfig(const Config &conf,
+                                      ExperimentConfig cfg = {});
 
-/** Human-readable key=value reference for experimentFromConfig(). */
-std::string experimentCliHelp();
+/** Bind just the observer groups of @p cfg (trace.*, metrics.*,
+ * anatomy.*, congestion.*, profile.*), as experimentFromConfig()
+ * does; benches bind these and set the rest per run. */
+void bindTelemetry(const Config &conf, ExperimentConfig &cfg);
 
 /**
  * Machine-readable knob reference: one line per config key in the
- * form "name<TAB>default<TAB>doc" (run_experiment --list-knobs).
- * tools/lint.py parses the underlying table, so every knob listed
- * here must also be documented in DESIGN.md.
+ * form "name<TAB>default<TAB>doc" (run_experiment --list-knobs adds
+ * its runner keys). Derived from experimentFromConfig()'s bindings;
+ * a test checks that DESIGN.md documents every knob listed here.
  */
 std::string experimentKnobList();
 

@@ -125,21 +125,28 @@ FaultPlan
 FaultPlan::fromConfig(const Config &conf)
 {
     FaultPlan plan;
-    plan.dropProb = conf.getDouble("fault.dropProb", 0.0);
-    plan.corruptProb = conf.getDouble("fault.corruptProb", 0.0);
-    plan.maxDrops =
-        static_cast<int>(conf.getInt("fault.maxDrops", -1));
-    plan.seed =
-        static_cast<std::uint64_t>(conf.getInt("fault.seed", 0));
-    plan.randomDownLinks =
-        static_cast<int>(conf.getInt("fault.downLinks", 0));
-    plan.randomDownFrom =
-        static_cast<Cycle>(conf.getInt("fault.downFrom", 0));
-    plan.randomDownFor =
-        static_cast<Cycle>(conf.getInt("fault.downFor", 0));
+    std::string linkDown;
+    std::string portDown;
+    conf.knob("fault.dropProb", plan.dropProb,
+              "per-hop in-fabric packet drop probability, [0, 1]");
+    conf.knob("fault.corruptProb", plan.corruptProb,
+              "per-hop packet corruption probability, [0, 1]");
+    conf.knob("fault.maxDrops", plan.maxDrops,
+              "stop injecting after N packets hit (-1 = unlimited)");
+    conf.knob("fault.seed", plan.seed,
+              "fault RNG seed (0 = experiment seed)");
+    conf.knob("fault.linkDown", linkDown,
+              "LINK@FROM[+DUR],... link outage windows");
+    conf.knob("fault.portDown", portDown,
+              "ROUTER.PORT@FROM[+DUR],... router output-port failures");
+    conf.knob("fault.downLinks", plan.randomDownLinks,
+              "additionally down N random internal links");
+    conf.knob("fault.downFrom", plan.randomDownFrom,
+              "random link outages start cycle");
+    conf.knob("fault.downFor", plan.randomDownFor,
+              "random link outage duration (0 = permanent)");
 
-    for (const std::string &spec :
-         splitList(conf.getString("fault.linkDown", ""))) {
+    for (const std::string &spec : splitList(linkDown)) {
         std::vector<long> ids;
         LinkFault lf;
         parseWindowSpec(spec, "fault.linkDown", ids, lf.from,
@@ -150,8 +157,7 @@ FaultPlan::fromConfig(const Config &conf)
         lf.link = static_cast<int>(ids[0]);
         plan.linkDown.push_back(lf);
     }
-    for (const std::string &spec :
-         splitList(conf.getString("fault.portDown", ""))) {
+    for (const std::string &spec : splitList(portDown)) {
         std::vector<long> ids;
         PortFault pf;
         parseWindowSpec(spec, "fault.portDown", ids, pf.from,
@@ -219,19 +225,23 @@ NodeFaultPlan
 NodeFaultPlan::fromConfig(const Config &conf)
 {
     NodeFaultPlan plan;
-    plan.randomCrashes =
-        static_cast<int>(conf.getInt("node.randomCrashes", 0));
-    plan.randomCrashFrom =
-        static_cast<Cycle>(conf.getInt("node.crashFrom", 0));
-    plan.randomCrashSpan =
-        static_cast<Cycle>(conf.getInt("node.crashSpan", 0));
-    plan.randomRestartAfter =
-        static_cast<Cycle>(conf.getInt("node.restartAfter", 0));
-    plan.seed =
-        static_cast<std::uint64_t>(conf.getInt("node.seed", 0));
+    std::string crash;
+    conf.knob("node.crash", crash,
+              "NODE@FROM[+DUR],... fail-stop schedules (+DUR = downtime "
+              "before restart; none = stays dead)");
+    conf.knob("node.randomCrashes", plan.randomCrashes,
+              "crash N distinct random nodes");
+    conf.knob("node.crashFrom", plan.randomCrashFrom,
+              "random crash-cycle window start");
+    conf.knob("node.crashSpan", plan.randomCrashSpan,
+              "random crash-cycle window length");
+    conf.knob("node.restartAfter", plan.randomRestartAfter,
+              "downtime before each random crash restarts (0 = stays "
+              "dead)");
+    conf.knob("node.seed", plan.seed,
+              "endpoint-fault RNG seed (0 = experiment seed)");
 
-    for (const std::string &spec :
-         splitList(conf.getString("node.crash", ""))) {
+    for (const std::string &spec : splitList(crash)) {
         std::vector<long> ids;
         NodeFault nf;
         Cycle until = 0;

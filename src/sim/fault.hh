@@ -108,7 +108,7 @@ struct FaultPlan
     void validate() const;
 
     /**
-     * Parse the fault.* keys of @p conf:
+     * Bind the fault.* keys of @p conf:
      *   fault.dropProb fault.corruptProb fault.maxDrops fault.seed
      *   fault.linkDown=LINK@FROM[+DUR][,...]
      *   fault.portDown=ROUTER.PORT@FROM[+DUR][,...]
@@ -164,7 +164,7 @@ struct NodeFaultPlan
     void validate() const;
 
     /**
-     * Parse the node.* keys of @p conf:
+     * Bind the node.* keys of @p conf:
      *   node.crash=NODE@FROM[+DUR][,...]
      *   node.randomCrashes node.crashFrom node.crashSpan
      *   node.restartAfter node.seed

@@ -19,7 +19,8 @@
  *    final line is fatal, and --resume refuses a changed matrix.
  *
  * Plus unit coverage for the pieces: the strict JSON reader, spec
- * expansion determinism, and the journal append/replay round trip.
+ * expansion determinism, and the journal append/replay round trip;
+ * and nifdy_campaign's refusal of unknown engine knobs.
  */
 
 #include <sys/stat.h>
@@ -556,6 +557,40 @@ TEST(CampaignEngineTest, ReplayCollapsesDuplicateCompletions)
     ASSERT_EQ(err, "");
     EXPECT_EQ(agg.find("jobs")->asInt(), 12);
     EXPECT_EQ(agg.find("failed")->asInt(), 0);
+}
+
+//===------------------------------------------------------------===//
+// The nifdy_campaign command line
+//===------------------------------------------------------------===//
+
+TEST(CampaignCli, UnknownEngineKnobsExitOneNamingThem)
+{
+    // A typo in the spec's campaign{} block and one on the command
+    // line: both reach nifdy_campaign's closing check, which refuses
+    // the invocation (exit 1) before any job runs.
+    std::string dir = makeTempDir();
+    std::ofstream(dir + "/spec.json")
+        << R"({"schema": "campaign-spec-1", "name": "typo",
+               "matrix": {"alpha": ["1"]}, "seeds": [1],
+               "campaign": {"campaign.wrokers": 2}})";
+    std::string cmd = std::string(NIFDY_CAMPAIGN_BIN) + " --spec " +
+                      dir + "/spec.json --dir " + dir +
+                      "/run campaign.retrymax=1 2> " + dir + "/err.txt";
+    int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::string err = readFile(dir + "/err.txt");
+    EXPECT_NE(err.find("'campaign.wrokers' (did you mean "
+                       "'campaign.workers'?)"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("'campaign.retrymax' (did you mean "
+                       "'campaign.retryMax'?)"),
+              std::string::npos)
+        << err;
+    struct stat st;
+    EXPECT_NE(::stat((dir + "/run").c_str(), &st), 0)
+        << "the refused campaign created its directory";
 }
 
 //===------------------------------------------------------------===//

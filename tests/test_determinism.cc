@@ -114,6 +114,25 @@ TEST(Determinism, FaultInjectedAuditedDoubleRunByteIdentical)
     EXPECT_EQ(first, second);
 }
 
+TEST(Determinism, PartialNifdyOverrideKeepsTopologyDefaults)
+{
+    // nifdy.window=2 is the mesh's own Table-3 window, so giving it
+    // must not pull the other nifdy.* knobs off the mesh's values.
+    Config plain;
+    plain.set("topology", std::string("mesh2d"));
+    plain.set("nodes", 16L);
+    Config given = plain;
+    given.set("nifdy.window", 2L);
+    auto run = [](const Config &conf) {
+        std::unique_ptr<Experiment> exp = build(conf);
+        exp->runFor(3000);
+        RunReport rep("test_determinism");
+        exp->fillReport(rep);
+        return rep.json(false);
+    };
+    EXPECT_EQ(run(given), run(plain));
+}
+
 /** A 16-node mesh with every event-taking observer on: the audit,
  * the latency anatomy and the congestion observatory. */
 Config

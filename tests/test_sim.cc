@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/experiment.hh"
 #include "sim/config.hh"
 #include "sim/kernel.hh"
 #include "sim/log.hh"
@@ -126,33 +127,68 @@ TEST(Config, SetGetRoundTrip)
     c.set("beta", 42L);
     c.set("gamma", 2.5);
     c.set("delta", true);
-    EXPECT_EQ(c.getString("alpha"), "hello");
-    EXPECT_EQ(c.getInt("beta"), 42);
-    EXPECT_DOUBLE_EQ(c.getDouble("gamma"), 2.5);
-    EXPECT_TRUE(c.getBool("delta"));
+    std::string alpha;
+    long beta = 0;
+    double gamma = 0;
+    bool delta = false;
+    c.knob("alpha", alpha, "a string");
+    c.knob("beta", beta, "an integer");
+    c.knob("gamma", gamma, "a double");
+    c.knob("delta", delta, "a boolean");
+    EXPECT_EQ(alpha, "hello");
+    EXPECT_EQ(beta, 42);
+    EXPECT_DOUBLE_EQ(gamma, 2.5);
+    EXPECT_TRUE(delta);
+    EXPECT_NO_THROW(c.close());
 }
 
 TEST(Config, Fallbacks)
 {
+    // An absent key leaves the field alone, and the field's value is
+    // what the listing shows as the default.
     Config c;
-    EXPECT_EQ(c.getInt("missing", 7), 7);
-    EXPECT_EQ(c.getString("missing", "x"), "x");
-    EXPECT_FALSE(c.getBool("missing", false));
-    EXPECT_DOUBLE_EQ(c.getDouble("missing", 1.5), 1.5);
+    int n = 7;
+    std::string s = "x";
+    bool b = false;
+    double d = 1.5;
+    c.knob("n", n, "an int");
+    c.knob("s", s, "a string");
+    c.knob("b", b, "a bool");
+    c.knob("d", d, "a double");
+    EXPECT_EQ(n, 7);
+    EXPECT_EQ(s, "x");
+    EXPECT_FALSE(b);
+    EXPECT_DOUBLE_EQ(d, 1.5);
+    EXPECT_EQ(c.knobList(), "n\t7\tan int\n"
+                            "s\tx\ta string\n"
+                            "b\tfalse\ta bool\n"
+                            "d\t1.5\ta double\n");
 }
 
 TEST(Config, MissingKeyFatal)
 {
+    // A key that no binding reads fails the closing call.
     Config c;
-    EXPECT_THROW(c.getInt("nope"), std::runtime_error);
+    c.set("nope", 1L);
+    int other = 0;
+    c.knob("other", other, "");
+    EXPECT_THROW(c.close(), std::runtime_error);
 }
 
 TEST(Config, MalformedValueFatal)
 {
     Config c;
     c.set("x", std::string("notanumber"));
-    EXPECT_THROW(c.getInt("x"), std::runtime_error);
-    EXPECT_THROW(c.getBool("x"), std::runtime_error);
+    int i = 0;
+    bool b = false;
+    double d = 0;
+    EXPECT_THROW(c.knob("x", i, ""), std::runtime_error);
+    EXPECT_THROW(c.knob("x", b, ""), std::runtime_error);
+    EXPECT_THROW(c.knob("x", d, ""), std::runtime_error);
+    for (const char *v : {"nan", "inf", "1.5x", ""}) {
+        c.set("x", std::string(v));
+        EXPECT_THROW(c.knob("x", d, ""), std::runtime_error) << v;
+    }
 }
 
 TEST(Config, ParseArgs)
@@ -160,25 +196,126 @@ TEST(Config, ParseArgs)
     Config c;
     const char *argv[] = {"prog", "nodes=64", "net=mesh2d", "stray",
                           "deep.key=1"};
-    auto left = c.parseArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(c.getInt("nodes"), 64);
-    EXPECT_EQ(c.getString("net"), "mesh2d");
-    EXPECT_EQ(c.getInt("deep.key"), 1);
-    ASSERT_EQ(left.size(), 1u);
-    EXPECT_EQ(left[0], "stray");
+    c.parseArgs(5, const_cast<char **>(argv));
+    int nodes = 0;
+    std::string net;
+    int deep = 0;
+    c.knob("nodes", nodes, "");
+    c.knob("net", net, "");
+    c.knob("deep.key", deep, "");
+    EXPECT_EQ(nodes, 64);
+    EXPECT_EQ(net, "mesh2d");
+    EXPECT_EQ(deep, 1);
+    // The stray token is an argument nothing bound.
+    EXPECT_THROW(c.close(), std::runtime_error);
 }
 
 TEST(Config, BooleanSpellings)
 {
     Config c;
+    bool v = false;
     for (const char *t : {"true", "1", "yes", "on"}) {
         c.set("k", std::string(t));
-        EXPECT_TRUE(c.getBool("k")) << t;
+        c.knob("k", v, "");
+        EXPECT_TRUE(v) << t;
     }
     for (const char *f : {"false", "0", "no", "off"}) {
         c.set("k", std::string(f));
-        EXPECT_FALSE(c.getBool("k")) << f;
+        c.knob("k", v, "");
+        EXPECT_FALSE(v) << f;
     }
+}
+
+/** experimentFromConfig() over a single key=value. */
+ExperimentConfig
+bindOne(const char *key, const char *value)
+{
+    Config c;
+    c.set(key, std::string(value));
+    return experimentFromConfig(c);
+}
+
+TEST(Config, NegativeUnsignedKnobsAreFatal)
+{
+    // -1 must not wrap to 2^64-1 in a Cycle or std::uint64_t field.
+    for (const char *key :
+         {"profile.interval", "congestion.window", "barrierLatency",
+          "watchdog", "metrics.interval", "lossy.retxTimeout",
+          "coll.timeout", "node.crashSpan", "trace.maxEvents"})
+        EXPECT_THROW(bindOne(key, "-1"), std::runtime_error) << key;
+}
+
+TEST(Config, OutOfRangeIntegerIsFatal)
+{
+    // 2^32 + 16 must not truncate to a 16-node run.
+    EXPECT_THROW(bindOne("nodes", "4294967312"), std::runtime_error);
+    std::uint64_t seed = 0;
+    Config c;
+    c.set("seed", std::string("18446744073709551616"));
+    EXPECT_THROW(c.knob("seed", seed, ""), std::runtime_error);
+}
+
+TEST(Config, IntegersAreDecimal)
+{
+    EXPECT_EQ(bindOne("nodes", "010").numNodes, 10);
+    EXPECT_THROW(bindOne("nodes", "0x10"), std::runtime_error);
+}
+
+TEST(Config, ChoiceSpellings)
+{
+    EXPECT_EQ(bindOne("nic", "nifdy-lossy").nicKind, NicKind::lossy);
+    EXPECT_EQ(bindOne("nic", "lossy").nicKind, NicKind::lossy);
+    EXPECT_EQ(bindOne("nic", "none").nicKind, NicKind::none);
+    EXPECT_FALSE(bindOne("coll.offload", "software").coll.offload);
+    EXPECT_TRUE(bindOne("coll.offload", "nic").coll.offload);
+    EXPECT_THROW(bindOne("nic", "bogus"), std::runtime_error);
+    EXPECT_THROW(bindOne("coll.offload", "on"), std::runtime_error);
+}
+
+TEST(Config, UnknownKeyNamesTheNearestKnob)
+{
+    Config c;
+    c.set("congestion.onfrac", std::string("0.3"));
+    experimentFromConfig(c);
+    try {
+        c.close();
+        FAIL() << "unknown key accepted";
+    } catch (const std::runtime_error &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("'congestion.onfrac'"), std::string::npos);
+        EXPECT_NE(msg.find("'congestion.onFrac'"), std::string::npos);
+    }
+}
+
+TEST(Config, FlagsAreBoundLikeKeys)
+{
+    Config c;
+    const char *argv[] = {"prog", "--dir", "out", "--resume", "--bogus"};
+    c.parseArgs(5, const_cast<char **>(argv));
+    std::string dir;
+    EXPECT_TRUE(c.flag("--dir", dir, "directory"));
+    EXPECT_EQ(dir, "out");
+    EXPECT_TRUE(c.flag("--resume", "resume"));
+    EXPECT_FALSE(c.flag("--spec", "spec"));
+    // Flags are documented by help() but not listed as knobs.
+    EXPECT_EQ(c.knobList(), "");
+    EXPECT_NE(c.help().find("--resume"), std::string::npos);
+    EXPECT_THROW(c.close(), std::runtime_error); // --bogus
+}
+
+TEST(Config, NifdyDefaultsFollowTheTopology)
+{
+    Config c;
+    c.set("topology", std::string("mesh2d"));
+    ExperimentConfig cfg = experimentFromConfig(c);
+    EXPECT_FALSE(cfg.nifdyExplicit);
+    EXPECT_NE(c.knobList().find("nifdy.window\t2\t"), std::string::npos);
+    c.set("nifdy.opt", 6L);
+    cfg = experimentFromConfig(c);
+    EXPECT_TRUE(cfg.nifdyExplicit);
+    EXPECT_EQ(cfg.nifdy.opt, 6);
+    EXPECT_EQ(cfg.nifdy.pool, bestNifdyParams("mesh2d").pool);
+    EXPECT_EQ(cfg.nifdy.window, bestNifdyParams("mesh2d").window);
 }
 
 TEST(Stats, CounterBasics)

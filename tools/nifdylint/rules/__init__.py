@@ -8,7 +8,6 @@ function; cli.main() runs them all unless --rules narrows the set.
 from . import (
     annotations,
     hot_alloc,
-    knobs,
     naked_new,
     no_rand,
     pointer_keys,
@@ -26,7 +25,6 @@ _MODULES = [
     no_rand,
     stdio_funnel,
     steppable_tested,
-    knobs,
     taxonomy,
     unordered_iter,
     pointer_keys,

@@ -129,216 +129,6 @@ def test_steppable_tested_negative():
     assert not vs
 
 
-# --- knob-documented ----------------------------------------------------
-
-def test_knob_documented_positive():
-    vs = run_rule("knob-documented", {
-        "src/a.cc": 'double p = conf.getDouble("fault.dropProb");\n',
-        "src/harness/experiment.cc": "// help text without it\n",
-    })
-    assert rules_hit(vs) == {"knob-documented"}
-
-
-def test_knob_documented_negative():
-    vs = run_rule("knob-documented", {
-        "src/a.cc": 'double p = conf.getDouble("fault.dropProb");\n',
-        "src/harness/experiment.cc":
-            '//   fault.dropProb   per-hop drop probability\n',
-    })
-    assert not vs
-
-
-CAMPAIGN_KNOB_TABLE = (
-    "const KnobDoc campaignKnobDocs[] = {\n"
-    '    {"campaign.workers", "4", "parallel workers"},\n'
-    "};\n")
-
-
-def test_knob_documented_campaign_positive():
-    # campaign.* is checked against the campaignKnobDocs *table*, so
-    # the knob name appearing elsewhere in engine.cc (e.g. in its own
-    # getInt call) does not count as documentation.
-    vs = run_rule("knob-documented", {
-        "src/campaign/engine.cc":
-            CAMPAIGN_KNOB_TABLE +
-            'long n = conf.getInt("campaign.retryMax", 3);\n',
-    })
-    assert rules_hit(vs) == {"knob-documented"}
-    assert any("campaign.retryMax" in v.message for v in vs)
-
-
-def test_knob_documented_campaign_negative():
-    vs = run_rule("knob-documented", {
-        "src/campaign/engine.cc":
-            CAMPAIGN_KNOB_TABLE +
-            'long n = conf.getInt("campaign.workers", 4);\n',
-    })
-    assert not vs
-
-
-def test_knob_documented_profile_positive():
-    # profile.* gets the same treatment as the other telemetry
-    # prefixes: an undocumented read anywhere in src/ is flagged.
-    vs = run_rule("knob-documented", {
-        "src/a.cc": 'bool on = conf.getBool("profile.enabled");\n',
-        "src/harness/experiment.cc": "// help text without it\n",
-    })
-    assert rules_hit(vs) == {"knob-documented"}
-    assert any("profile.enabled" in v.message for v in vs)
-
-
-def test_knob_documented_profile_negative():
-    vs = run_rule("knob-documented", {
-        "src/a.cc":
-            'bool on = conf.getBool("profile.enabled");\n'
-            'long iv = conf.getInt("profile.interval", 32);\n',
-        "src/harness/experiment.cc":
-            "//   profile.enabled    host-cost profiler\n"
-            "//   profile.interval   cycles between clock samples\n",
-    })
-    assert not vs
-
-
-def test_knob_documented_coll_positive():
-    # coll.* is a checked prefix like the fault/lossy/node families:
-    # an undocumented read anywhere in src/ is flagged.
-    vs = run_rule("knob-documented", {
-        "src/a.cc": 'long a = conf.getInt("coll.arity", 4);\n',
-        "src/harness/experiment.cc": "// help text without it\n",
-    })
-    assert rules_hit(vs) == {"knob-documented"}
-    assert any("coll.arity" in v.message for v in vs)
-
-
-def test_knob_documented_coll_negative():
-    vs = run_rule("knob-documented", {
-        "src/a.cc":
-            'long a = conf.getInt("coll.arity", 4);\n'
-            'bool o = conf.getBool("coll.offload");\n',
-        "src/harness/experiment.cc":
-            "//   coll.arity     combining-tree fan-out\n"
-            "//   coll.offload   NIC-resident collectives\n",
-    })
-    assert not vs
-
-
-def test_knob_documented_congestion_positive():
-    # congestion.* and traffic.* join the telemetry prefix family:
-    # an undocumented read anywhere in src/ is flagged.
-    vs = run_rule("knob-documented", {
-        "src/a.cc":
-            'bool on = conf.getBool("congestion.enabled");\n'
-            'long r = conf.getInt("traffic.incast.receiver", 0);\n',
-        "src/harness/experiment.cc": "// help text without it\n",
-    })
-    assert rules_hit(vs) == {"knob-documented"}
-    assert any("congestion.enabled" in v.message for v in vs)
-    assert any("traffic.incast.receiver" in v.message for v in vs)
-
-
-def test_knob_documented_congestion_negative():
-    vs = run_rule("knob-documented", {
-        "src/a.cc":
-            'bool on = conf.getBool("congestion.enabled");\n'
-            'double f = conf.getDouble("congestion.onFrac", 0.5);\n',
-        "src/harness/experiment.cc":
-            "//   congestion.enabled   congestion observatory\n"
-            "//   congestion.onFrac    episode-open stall fraction\n",
-    })
-    assert not vs
-
-
-# --- knob-in-design -----------------------------------------------------
-
-KNOB_TABLE = (
-    "const KnobDoc knobDocs[] = {\n"
-    '    {"fault.dropProb", "0", "per-hop drop probability"},\n'
-    "};\n")
-
-
-def test_knob_in_design_positive():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": KNOB_TABLE,
-        "DESIGN.md": "# design\nnothing about knobs\n",
-    })
-    assert rules_hit(vs) == {"knob-in-design"}
-
-
-def test_knob_in_design_negative():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` drops packets per hop.\n",
-    })
-    assert not vs
-
-
-def test_knob_in_design_campaign_positive():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": KNOB_TABLE,
-        "src/campaign/engine.cc": CAMPAIGN_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` only; campaign undocumented\n",
-    })
-    assert rules_hit(vs) == {"knob-in-design"}
-    assert any("campaign.workers" in v.message for v in vs)
-
-
-def test_knob_in_design_campaign_negative():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": KNOB_TABLE,
-        "src/campaign/engine.cc": CAMPAIGN_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` and `campaign.workers`.\n",
-    })
-    assert not vs
-
-
-PROFILE_KNOB_TABLE = (
-    "const KnobDoc knobDocs[] = {\n"
-    '    {"fault.dropProb", "0", "per-hop drop probability"},\n'
-    '    {"profile.enabled", "false", "host-cost profiler"},\n'
-    "};\n")
-
-
-def test_knob_in_design_profile_positive():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": PROFILE_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` only; profile undocumented\n",
-    })
-    assert rules_hit(vs) == {"knob-in-design"}
-    assert any("profile.enabled" in v.message for v in vs)
-
-
-def test_knob_in_design_profile_negative():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": PROFILE_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` and `profile.enabled`.\n",
-    })
-    assert not vs
-
-
-CONGESTION_KNOB_TABLE = (
-    "const KnobDoc knobDocs[] = {\n"
-    '    {"fault.dropProb", "0", "per-hop drop probability"},\n'
-    '    {"congestion.window", "1024", "accounting window"},\n'
-    "};\n")
-
-
-def test_knob_in_design_congestion_positive():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": CONGESTION_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` only; congestion missing\n",
-    })
-    assert rules_hit(vs) == {"knob-in-design"}
-    assert any("congestion.window" in v.message for v in vs)
-
-
-def test_knob_in_design_congestion_negative():
-    vs = run_rule("knob-in-design", {
-        "src/harness/experiment.cc": CONGESTION_KNOB_TABLE,
-        "DESIGN.md": "`fault.dropProb` and `congestion.window`.\n",
-    })
-    assert not vs
-
-
 # --- telemetry-taxonomy -------------------------------------------------
 
 def test_telemetry_taxonomy_positive():
