@@ -22,7 +22,7 @@ using namespace nifdy;
 namespace
 {
 
-std::uint64_t
+Experiment::Totals
 runWith(const std::string &topo, NifdyConfig nifdy, Cycle cycles,
         int nodes, std::uint64_t seed, const SyntheticParams &sp)
 {
@@ -40,33 +40,7 @@ runWith(const std::string &topo, NifdyConfig nifdy, Cycle cycles,
                                exp.proc(n), exp.msg(n), exp.barrier(),
                                nodes, sp, seed));
     exp.runFor(cycles);
-    return exp.packetsDelivered();
-}
-
-std::uint64_t
-ackCount(const std::string &topo, NifdyConfig nifdy, Cycle cycles,
-         int nodes, std::uint64_t seed, const SyntheticParams &sp,
-         std::uint64_t *delivered)
-{
-    ExperimentConfig cfg;
-    cfg.topology = topo;
-    cfg.numNodes = nodes;
-    cfg.nicKind = NicKind::nifdy;
-    cfg.seed = seed;
-    cfg.nifdyExplicit = true;
-    cfg.nifdy = nifdy;
-    cfg.msg.packetWords = 8;
-    Experiment exp(cfg);
-    for (NodeId n = 0; n < nodes; ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               nodes, sp, seed));
-    exp.runFor(cycles);
-    std::uint64_t acks = 0;
-    for (NodeId n = 0; n < nodes; ++n)
-        acks += dynamic_cast<NifdyNic &>(exp.nic(n)).acksSent();
-    *delivered = exp.packetsDelivered();
-    return acks;
+    return exp.totals();
 }
 
 } // namespace
@@ -91,9 +65,11 @@ main(int argc, char **argv)
             NifdyConfig early = base;
             early.ackOnAccept = false;
             auto acc = runWith(topo, base, args.cycles, args.nodes,
-                               args.seed, sp);
+                               args.seed, sp)
+                           .packetsDelivered;
             auto arr = runWith(topo, early, args.cycles, args.nodes,
-                               args.seed, sp);
+                               args.seed, sp)
+                           .packetsDelivered;
             t.row({topo, Table::num(static_cast<long>(acc)),
                    Table::num(static_cast<long>(arr)),
                    Table::num(double(acc) / double(arr), 2)});
@@ -113,7 +89,8 @@ main(int argc, char **argv)
             NifdyConfig cfg = bestNifdyParams("fattree-saf");
             cfg.window = w;
             auto v = runWith("fattree-saf", cfg, args.cycles,
-                             args.nodes, args.seed, sp);
+                             args.nodes, args.seed, sp)
+                         .packetsDelivered;
             if (!base)
                 base = v;
             t.row({Table::num(static_cast<long>(w)),
@@ -133,18 +110,19 @@ main(int argc, char **argv)
         NifdyConfig comb = bestNifdyParams("fattree");
         NifdyConfig per = comb;
         per.ackEvery = 1;
-        std::uint64_t d1 = 0;
-        std::uint64_t d2 = 0;
-        auto a1 = ackCount("fattree", comb, args.cycles, args.nodes,
-                           args.seed, sp, &d1);
-        auto a2 = ackCount("fattree", per, args.cycles, args.nodes,
-                           args.seed, sp, &d2);
-        t.row({"combined (W/2)", Table::num(static_cast<long>(d1)),
-               Table::num(static_cast<long>(a1)),
-               Table::num(double(a1) / double(d1), 2)});
-        t.row({"per packet", Table::num(static_cast<long>(d2)),
-               Table::num(static_cast<long>(a2)),
-               Table::num(double(a2) / double(d2), 2)});
+        for (const auto &[name, policy] :
+             {std::pair{"combined (W/2)", comb},
+              std::pair{"per packet", per}}) {
+            const Experiment::Totals tot = runWith(
+                "fattree", policy, args.cycles, args.nodes, args.seed,
+                sp);
+            t.row({name,
+                   Table::num(static_cast<long>(tot.packetsDelivered)),
+                   Table::num(static_cast<long>(tot.acksSent)),
+                   Table::num(double(tot.acksSent) /
+                                  double(tot.packetsDelivered),
+                              2)});
+        }
         args.emit(t);
     }
 

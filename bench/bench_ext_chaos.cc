@@ -81,26 +81,17 @@ main(int argc, char **argv)
                                    args.seed));
         exp.runFor(args.cycles);
 
-        std::uint64_t epochRejects = 0;
-        std::uint64_t teardowns = 0;
-        std::uint64_t abandoned = 0;
-        for (NodeId n = 0; n < args.nodes; ++n) {
-            auto &nic = dynamic_cast<NifdyNic &>(exp.nic(n));
-            epochRejects += nic.epochRejects();
-            teardowns += nic.dialogTeardowns();
-            abandoned += nic.packetsAbandoned();
-        }
-        std::uint64_t words = exp.wordsDelivered();
+        const Experiment::Totals tot = exp.totals();
         if (!base)
-            base = words;
+            base = tot.wordsDelivered;
         t.row({Table::num(static_cast<long>(pt.crashes)),
                pt.restart ? "restart" : "fail-stop",
-               Table::num(static_cast<long>(words)),
-               Table::num(double(words) / double(base), 3),
-               Table::num(static_cast<long>(epochRejects)),
-               Table::num(static_cast<long>(teardowns)),
-               Table::num(static_cast<long>(abandoned)),
-               Table::num(static_cast<long>(exp.totalDeadPeers()))});
+               Table::num(static_cast<long>(tot.wordsDelivered)),
+               Table::num(double(tot.wordsDelivered) / double(base), 3),
+               Table::num(static_cast<long>(tot.epochRejects)),
+               Table::num(static_cast<long>(tot.dialogTeardowns)),
+               Table::num(static_cast<long>(tot.abandoned)),
+               Table::num(static_cast<long>(tot.deadPeers))});
     }
     args.emit(t);
     args.note("crashed endpoints are excised, not fatal: restarted "

@@ -31,11 +31,7 @@ struct CollRun
 {
     Cycle ran = 0;
     bool done = false;
-    std::uint64_t collPackets = 0;
-    std::uint64_t retx = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t pruned = 0;
-    std::uint64_t probes = 0;
+    Experiment::Totals tot;
     std::uint64_t completedPhases = 0;
 };
 
@@ -74,14 +70,8 @@ runCollectives(const std::string &topology, int nodes, int arity,
     CollRun r;
     r.ran = exp.runUntilDone(static_cast<Cycle>(phases) * 400000);
     r.done = exp.allDone();
+    r.tot = exp.totals();
     for (NodeId n = 0; n < exp.numNodes(); ++n) {
-        if (CollEngine *eng = exp.collEngine(n)) {
-            r.collPackets += eng->collPacketsSent();
-            r.retx += eng->retransmissions();
-            r.degraded += eng->degradedCompletions();
-            r.pruned += eng->childrenPruned();
-            r.probes += eng->probesSent();
-        }
         if (exp.nodeCrashedEver(n))
             continue;
         auto *w = dynamic_cast<CollectiveWorkload *>(exp.workload(n));
@@ -128,7 +118,7 @@ main(int argc, char **argv)
             const char *mode = off ? "nic offload" : "software";
             t.row({Table::num(static_cast<long>(nodes)), mode,
                    Table::num(perPhase[off], 1),
-                   Table::num(static_cast<long>(r.collPackets)),
+                   Table::num(static_cast<long>(r.tot.collPackets)),
                    off ? Table::num(perPhase[0] / perPhase[1], 2)
                        : "--"});
             std::string key = std::string("coll.cyclesPerBarrier.") +
@@ -170,14 +160,14 @@ main(int argc, char **argv)
         fatal_if(!r.done, "crash bench wedged (%s)", pt.name);
         c.row({pt.name,
                Table::num(static_cast<long>(r.completedPhases)),
-               Table::num(static_cast<long>(r.retx)),
-               Table::num(static_cast<long>(r.probes)),
-               Table::num(static_cast<long>(r.pruned)),
-               Table::num(static_cast<long>(r.degraded))});
+               Table::num(static_cast<long>(r.tot.collRetx)),
+               Table::num(static_cast<long>(r.tot.collProbes)),
+               Table::num(static_cast<long>(r.tot.collPruned)),
+               Table::num(static_cast<long>(r.tot.collDegraded))});
         std::string key =
             std::string("coll.crash.") + pt.name + ".";
-        args.report.addMetric(key + "retx", r.retx);
-        args.report.addMetric(key + "degraded", r.degraded);
+        args.report.addMetric(key + "retx", r.tot.collRetx);
+        args.report.addMetric(key + "degraded", r.tot.collDegraded);
         args.report.addMetric(key + "survivorPhases",
                               r.completedPhases);
     }

@@ -84,16 +84,8 @@ main(int argc, char **argv)
                                    args.seed));
         exp.runFor(args.cycles);
 
-        std::uint64_t retx = 0;
-        std::uint64_t recoveries = 0;
-        std::uint64_t recoverySum = 0;
-        for (NodeId n = 0; n < args.nodes; ++n) {
-            auto &nic = dynamic_cast<LossyNifdyNic &>(exp.nic(n));
-            retx += nic.retransmissions();
-            recoveries += nic.recoveryLatency().count();
-            recoverySum += nic.recoveryLatency().sum();
-        }
-        std::uint64_t words = exp.wordsDelivered();
+        const Experiment::Totals tot = exp.totals();
+        const std::uint64_t words = tot.wordsDelivered;
         if (!base)
             base = words;
         char label[32];
@@ -110,12 +102,10 @@ main(int argc, char **argv)
                Table::num(static_cast<long>(
                    exp.faults() ? exp.faults()->packetsCorrupted()
                                 : 0)),
-               Table::num(static_cast<long>(retx)),
-               recoveries ? Table::num(double(recoverySum) /
-                                           double(recoveries),
-                                       1)
-                          : "-",
-               Table::num(static_cast<long>(exp.totalDeadPeers()))});
+               Table::num(static_cast<long>(tot.retransmissions)),
+               tot.recovery.count() ? Table::num(tot.recovery.mean(), 1)
+                                    : "-",
+               Table::num(static_cast<long>(tot.deadPeers))});
     }
     args.emit(t);
     args.note("in-fabric losses are recovered end to end; backoff "

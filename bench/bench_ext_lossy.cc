@@ -48,25 +48,16 @@ main(int argc, char **argv)
                                    exp.barrier(), args.nodes, sp,
                                    args.seed));
         exp.runFor(args.cycles);
-        std::uint64_t retx = 0;
-        std::uint64_t dropped = 0;
-        std::uint64_t dups = 0;
-        for (NodeId n = 0; n < args.nodes; ++n) {
-            auto &nic = dynamic_cast<LossyNifdyNic &>(exp.nic(n));
-            retx += nic.retransmissions();
-            dropped += nic.packetsDropped();
-            dups += nic.duplicatesSeen();
-        }
-        std::uint64_t delivered = exp.packetsDelivered();
+        const Experiment::Totals tot = exp.totals();
         if (!base)
-            base = delivered;
+            base = tot.packetsDelivered;
         char label[32];
         std::snprintf(label, sizeof(label), "%.1f%%", drop * 100);
-        t.row({label, Table::num(static_cast<long>(delivered)),
-               Table::num(double(delivered) / double(base), 3),
-               Table::num(static_cast<long>(retx)),
-               Table::num(static_cast<long>(dropped)),
-               Table::num(static_cast<long>(dups))});
+        t.row({label, Table::num(static_cast<long>(tot.packetsDelivered)),
+               Table::num(double(tot.packetsDelivered) / double(base), 3),
+               Table::num(static_cast<long>(tot.retransmissions)),
+               Table::num(static_cast<long>(tot.dropped)),
+               Table::num(static_cast<long>(tot.duplicates))});
     }
     args.emit(t);
     args.note("per Section 6.2 / [KC94]: masking drops in the NI"

@@ -10,9 +10,9 @@
  * with NIFDY the perturbations dissipate and the pattern finishes
  * earlier.
  *
- * The pending-packet map is recorded as a TimeSeries registered in a
- * StatSet; the ASCII rendering and the `--json` report are both
- * derived from that one series.
+ * The pending-packet map is recorded as one TimeSeries per NIC
+ * kind; the ASCII rendering and the `--json` report are both derived
+ * from that series.
  *
  * The paper uses a 32-node CM-5 network; our generalized fat tree
  * is built in powers of four, so the default here is the 64-node
@@ -32,7 +32,7 @@ namespace
 
 struct MapResult
 {
-    TimeSeries series{"cshift.pending.map", 0, 0};
+    TimeSeries series;
     Cycle completion = 0;
     int worst = 0;
 };
@@ -57,9 +57,7 @@ runMap(NicKind kind, const std::string &seriesName, int nodes,
                                exp.proc(n), exp.msg(n), exp.barrier(),
                                nodes, cp, board, seed));
     }
-    MapResult res;
-    StatSet stats;
-    TimeSeries &ts = stats.timeSeries(seriesName, nodes, interval);
+    MapResult res{TimeSeries(seriesName, nodes, interval)};
     Cycle budget = 30000000;
     while (budget > 0 && !exp.allDone()) {
         exp.runFor(interval);
@@ -71,10 +69,9 @@ runMap(NicKind kind, const std::string &seriesName, int nodes,
             res.worst = std::max(res.worst, pend);
             row.push_back(static_cast<std::uint32_t>(pend));
         }
-        ts.record(exp.kernel().now(), std::move(row));
+        res.series.record(exp.kernel().now(), std::move(row));
     }
     res.completion = exp.kernel().now();
-    res.series = ts;
     return res;
 }
 
@@ -110,6 +107,9 @@ main(int argc, char **argv)
     args.conf.knob("interval", interval,
                    "cycles between pending-packet samples");
     args.conf.close();
+    fatal_if(interval == 0,
+             "interval=0: the pending-packet sample interval must be "
+             "positive");
 
     MapResult none = runMap(NicKind::none, "cshift.pending.none",
                             args.nodes, words, interval, args.seed);

@@ -30,7 +30,9 @@
  *                     [seed=N] [--json PATH]
  */
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,31 @@ timeRun(Experiment &exp, Cycle warmup, Cycle cycles)
     return r;
 }
 
+/** Which grid configs @p names selects: exact config names,
+ * comma-separated, or every config when empty. An unknown name is
+ * fatal, so a misspelled grid= never runs an empty table. */
+std::vector<bool>
+selectGrid(const std::string &names)
+{
+    std::vector<bool> on(std::size(grid), names.empty());
+    std::string valid;
+    for (const GridSpec &spec : grid)
+        valid += std::string(valid.empty() ? "" : ", ") + spec.tag;
+    for (std::size_t at = 0; !names.empty() && at <= names.size();) {
+        std::size_t end = std::min(names.find(',', at), names.size());
+        const std::string name = names.substr(at, end - at);
+        std::size_t i = 0;
+        while (i < std::size(grid) && name != grid[i].tag)
+            ++i;
+        fatal_if(i == std::size(grid),
+                 "grid=%s: unknown config '%s' (valid: %s)",
+                 names.c_str(), name.c_str(), valid.c_str());
+        on[i] = true;
+        at = end + 1;
+    }
+    return on;
+}
+
 void
 recordRun(BenchArgs &args, const std::string &tag, const RunResult &r)
 {
@@ -150,15 +177,16 @@ benchMain(int argc, char **argv)
                    "comma-separated configs to run (default: all of "
                    "idle, fig2heavy, faultsoak, bigtree)");
     args.conf.close();
+    const std::vector<bool> selected = selectGrid(only);
 
     Table t("kernel throughput grid (deterministic window counts)");
     t.header({"config", "topology", "nodes", "cycles", "flit events",
               "packets"});
 
-    for (const GridSpec &spec : grid) {
-        if (!only.empty() &&
-            only.find(spec.tag) == std::string::npos)
+    for (std::size_t g = 0; g < std::size(grid); ++g) {
+        if (!selected[g])
             continue;
+        const GridSpec &spec = grid[g];
         Cycle warmup = args.cycles / 10;
         auto exp =
             makeGridExperiment(spec, args.seed, false, args.base);

@@ -20,7 +20,12 @@
  *
  * Results flow through one RunReport: emit() prints a table to
  * stdout AND records it, so the text output and the `--json` report
- * are always the same data (see DESIGN.md section 8).
+ * are always the same data (see DESIGN.md section 8). Machine-wide
+ * counters come from Experiment::totals(), and recordAnatomy(),
+ * recordCongestion() and recordProfile() write their metric groups
+ * through the observer's own reportMetrics(), the writer
+ * Experiment::fillReport() uses too; the helpers add only the bench
+ * tables.
  */
 
 #ifndef NIFDY_BENCH_BENCHUTIL_HH
@@ -77,8 +82,9 @@ struct BenchArgs
      * Bind the observer knobs into base. `--anatomy` is sugar for
      * anatomy.enabled=true and `--congestion` for
      * congestion.enabled=true. Benches that build many experiments
-     * get one trace/metrics file per experiment; the sinks uniquify
-     * the path with a .2/.3 suffix.
+     * get one trace file and one metrics file per experiment: both
+     * sinks name theirs through uniquifyPath(), which adds a .2/.3
+     * suffix from the second use of a path on.
      */
     void bindTelemetry()
     {
@@ -148,17 +154,7 @@ recordAnatomy(Experiment &exp, BenchArgs &args,
     const Anatomy *an = exp.anatomy();
     if (!an)
         return;
-    const std::string prefix = "anatomy." + tag + ".";
-    args.report.addMetric(prefix + "packets", an->packets());
-    args.report.addMetric(prefix + "discarded", an->discarded());
-    args.report.addMetric(prefix + "latency.cycles",
-                          an->totalLatency());
-    args.report.addMetric(prefix + "cycles.total",
-                          an->totalAttributed());
-    for (int c = 0; c < numStallCauses; ++c)
-        args.report.addMetric(
-            prefix + "cycles." + stallCauseSlugs[c],
-            an->totalCycles(static_cast<StallCause>(c)));
+    an->reportMetrics(args.report, tag + ".");
     args.emit(an->blameTable("latency blame: " + tag));
 }
 
@@ -177,25 +173,7 @@ recordCongestion(Experiment &exp, BenchArgs &args,
     if (!co)
         return;
     co->finish(exp.kernel().now()); // idempotent episode close-out
-    const std::string prefix = "congestion." + tag + ".";
-    args.report.addMetric(prefix + "links",
-                          std::uint64_t(co->numLinks()));
-    args.report.addMetric(prefix + "cycles.observed",
-                          co->cyclesObserved());
-    args.report.addMetric(prefix + "windows", co->windowsClosed());
-    args.report.addMetric(prefix + "episodes", co->episodesOpened());
-    args.report.addMetric(prefix + "cycles.busy", co->totalBusy());
-    args.report.addMetric(prefix + "cycles.idle", co->totalIdle());
-    args.report.addMetric(prefix + "cycles.stalled",
-                          co->totalStalled());
-    args.report.addMetric(prefix + "flows",
-                          std::uint64_t(co->numFlows()));
-    args.report.addMetric(prefix + "aggressors",
-                          std::uint64_t(co->aggressorFlows()));
-    args.report.addMetric(prefix + "victims",
-                          std::uint64_t(co->victimFlows()));
-    args.report.addMetric(prefix + "slowdown.max",
-                          co->maxSlowdown());
+    co->reportMetrics(args.report, tag + ".");
     const std::string tp = "congestion[" + tag + "]: ";
     args.emit(co->linkTable(tp + "link stall map"));
     args.report.addTable(
@@ -214,32 +192,8 @@ inline void
 recordProfile(Experiment &exp, BenchArgs &args,
               const std::string &tag)
 {
-    const Profiler *p = exp.profiler();
-    if (!p)
-        return;
-    const std::string mp = "profile." + tag + ".";
-    args.report.addMetric(mp + "cycles", p->cycles());
-    args.report.addMetric(mp + "cycles.timed", p->timedCycles());
-    const auto &classes = p->classes();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        args.report.addMetric(mp + "steps." + classes[c],
-                              p->classSteps(c));
-        args.report.addMetric(mp + "idlesteps." + classes[c],
-                              p->classIdleSteps(c));
-    }
-    const std::string hp = "host." + tag + ".";
-    args.report.addProfile(hp + "loop.ns", p->loopNs());
-    if (p->timedCycles() > 0)
-        args.report.addProfile(hp + "loop.nspercycle",
-                               double(p->loopNs()) /
-                                   double(p->timedCycles()));
-    for (std::size_t c = 0; c < classes.size(); ++c)
-        args.report.addProfile(hp + "class." + classes[c] + ".ns",
-                               p->classNs(c));
-    for (int ph = 0; ph < numProfPhases; ++ph)
-        args.report.addProfile(
-            hp + "phase." + profPhaseSlugs[ph] + ".ns",
-            p->phaseNs(static_cast<ProfPhase>(ph)));
+    if (const Profiler *p = exp.profiler())
+        p->reportMetrics(args.report, tag + ".");
 }
 
 /**

@@ -148,10 +148,8 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
     if (collCfg.seed == 0)
         collCfg.seed = cfg_.seed;
 
-    bool nifdyKind =
-        cfg_.nicKind == NicKind::nifdy || cfg_.nicKind == NicKind::lossy;
     inOrder_ = topologyInOrder(cfg_.topology) ||
-               (nifdyKind && cfg_.exploitInOrder);
+               (nifdyKind() && cfg_.exploitInOrder);
 
     // The buffers-only control receives NIFDY's total buffer budget,
     // redistributed with at least half in the arrivals queue.
@@ -200,7 +198,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             barrier_->attachEngine(n, eng.get());
             collEngines_.push_back(std::move(eng));
         }
-        if (nifdyKind) {
+        if (nifdyKind()) {
             auto *nn = static_cast<NifdyNic *>(nic.get());
             // Live-peer survival under endpoint faults: tolerate
             // cold receivers (dialog rejects instead of protocol
@@ -223,7 +221,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
 
         MessageParams mp = cfg_.msg;
         mp.inOrder = inOrder_;
-        if (!nifdyKind)
+        if (!nifdyKind())
             mp.bulkThreshold = 0; // nobody to grant a dialog
         msgs_.push_back(std::make_unique<MessageLayer>(*procs_.back(),
                                                        pool_, mp));
@@ -235,7 +233,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
         // The protocol guarantees per-(src,dst) ordering with a
         // NIFDY NIC on any topology; without one, only single-path
         // deterministic topologies deliver in order.
-        audit_->installStandardCheckers(nifdyKind ||
+        audit_->installStandardCheckers(nifdyKind() ||
                                         topologyInOrder(cfg_.topology));
         for (const auto &nic : nics_)
             audit_->watchNic(nic.get());
@@ -328,30 +326,31 @@ Experiment::wireMetrics()
 {
     Metrics &m = *metrics_;
 
+    // One totals pass per snapshot: snapshotJson() samples the gauges
+    // in registration order and the distribution sources after them,
+    // so the first gauge takes the pass and the rest read it.
+    auto tot = std::make_shared<Totals>();
+    auto total = [tot](std::uint64_t Totals::*field) {
+        return [tot, field](Cycle) { return double((*tot).*field); };
+    };
+
     // Aggregate progress counters, sampled at snapshot instants so
     // the JSONL rows show cumulative throughput over time.
-    m.addGauge("nic.packets.sent", -1,
-               [this](Cycle) { return double(packetsSent()); });
-    m.addGauge("nic.packets.delivered", -1,
-               [this](Cycle) { return double(packetsDelivered()); });
-    m.addGauge("nic.arrivals.pending", -1, [this](Cycle) {
-        std::uint64_t n = 0;
-        for (const auto &nic : nics_)
-            n += static_cast<std::uint64_t>(nic->arrivalsPending());
-        return double(n);
+    m.addGauge("nic.packets.sent", -1, [this, tot](Cycle) {
+        *tot = totals();
+        return double(tot->packetsSent);
     });
-    m.addGauge("run.goodput", -1, [this](Cycle now) {
-        return now > 0 ? wordsDelivered() * double(bytesPerWord) /
+    m.addGauge("nic.packets.delivered", -1, total(&Totals::packetsDelivered));
+    m.addGauge("nic.arrivals.pending", -1, total(&Totals::arrivalsPending));
+    m.addGauge("run.goodput", -1, [tot](Cycle now) {
+        return now > 0 ? tot->wordsDelivered * double(bytesPerWord) /
                              double(now)
                        : 0.0;
     });
-    m.addGauge("proc.busy.fraction", -1, [this](Cycle now) {
-        if (now == 0)
-            return 0.0;
-        std::uint64_t busy = 0;
-        for (const auto &p : procs_)
-            busy += p->cyclesBusy();
-        return double(busy) / (double(now) * numNodes());
+    m.addGauge("proc.busy.fraction", -1, [this, tot](Cycle now) {
+        return now > 0 ? double(tot->procBusy) /
+                             (double(now) * numNodes())
+                       : 0.0;
     });
 
     // Per-channel utilization: fraction of the interval since the
@@ -396,56 +395,20 @@ Experiment::wireMetrics()
         });
     }
 
-    bool nifdyKind =
-        cfg_.nicKind == NicKind::nifdy || cfg_.nicKind == NicKind::lossy;
-    if (nifdyKind) {
-        m.addGauge("nifdy.opt.occupancy", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const auto &nic : nics_)
-                n += static_cast<const NifdyNic &>(*nic)
-                         .optOccupancy();
-            return double(n);
-        });
-        m.addGauge("nifdy.pool.occupancy", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const auto &nic : nics_)
-                n += static_cast<const NifdyNic &>(*nic)
-                         .poolOccupancy();
-            return double(n);
-        });
-        m.addGauge("nifdy.window.unacked", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const auto &nic : nics_)
-                n += static_cast<const NifdyNic &>(*nic)
-                         .bulkUnacked();
-            return double(n);
-        });
-        m.addGauge("nifdy.acks.sent", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const auto &nic : nics_)
-                n += static_cast<const NifdyNic &>(*nic).acksSent();
-            return double(n);
-        });
+    if (nifdyKind()) {
+        m.addGauge("nifdy.opt.occupancy", -1, total(&Totals::optOccupancy));
+        m.addGauge("nifdy.pool.occupancy", -1, total(&Totals::poolOccupancy));
+        m.addGauge("nifdy.window.unacked", -1, total(&Totals::windowUnacked));
+        m.addGauge("nifdy.acks.sent", -1, total(&Totals::acksSent));
     }
     if (cfg_.nicKind == NicKind::lossy) {
-        m.addGauge("lossy.retransmissions", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const LossyNifdyNic *ln : lossyNics_)
-                n += ln->retransmissions();
-            return double(n);
+        m.addGauge("lossy.retransmissions", -1,
+                   total(&Totals::retransmissions));
+        m.addGauge("lossy.drops", -1, [tot](Cycle) {
+            return double(tot->dropped + tot->corruptDropped);
         });
-        m.addGauge("lossy.drops", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const LossyNifdyNic *ln : lossyNics_)
-                n += ln->packetsDropped() + ln->corruptDropped();
-            return double(n);
-        });
-        m.addDistSource("lossy.recovery.latency", [this]() {
-            Distribution d("lossy.recovery.latency");
-            for (const LossyNifdyNic *ln : lossyNics_)
-                d.merge(ln->recoveryLatency());
-            return d;
-        });
+        m.addDistSource("lossy.recovery.latency",
+                        [tot]() { return tot->recovery; });
     }
     if (injector_) {
         m.addGauge("fault.fabric.drops", -1, [this](Cycle) {
@@ -460,55 +423,21 @@ Experiment::wireMetrics()
                    [this](Cycle) { return double(nodeCrashes_); });
         m.addGauge("node.restarts", -1,
                    [this](Cycle) { return double(nodeRestarts_); });
-        if (nifdyKind) {
-            m.addGauge("nic.epoch.rejects", -1, [this](Cycle) {
-                std::uint64_t n = 0;
-                for (const NifdyNic *nn : nifdyNics_)
-                    n += nn->epochRejects();
-                return double(n);
-            });
-            m.addGauge("nifdy.dialog.teardowns", -1, [this](Cycle) {
-                std::uint64_t n = 0;
-                for (const NifdyNic *nn : nifdyNics_)
-                    n += nn->dialogTeardowns();
-                return double(n);
-            });
+        if (nifdyKind()) {
+            m.addGauge("nic.epoch.rejects", -1, total(&Totals::epochRejects));
+            m.addGauge("nifdy.dialog.teardowns", -1,
+                       total(&Totals::dialogTeardowns));
         }
     }
 
     if (!collEngines_.empty()) {
-        auto sumColl =
-            [this](std::uint64_t (CollEngine::*get)() const) {
-                std::uint64_t n = 0;
-                for (const auto &e : collEngines_)
-                    n += ((*e).*get)();
-                return double(n);
-            };
-        m.addGauge("coll.entered", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::entered);
-        });
-        m.addGauge("coll.completed", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::localCompleted);
-        });
-        m.addGauge("coll.degraded", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::degradedCompletions);
-        });
-        m.addGauge("coll.retx", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::retransmissions);
-        });
-        m.addGauge("coll.pruned", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::childrenPruned);
-        });
-        m.addGauge("coll.packets", -1, [sumColl](Cycle) {
-            return sumColl(&CollEngine::collPacketsSent);
-        });
-        m.addGauge("coll.open", -1, [this](Cycle) {
-            std::uint64_t n = 0;
-            for (const auto &e : collEngines_)
-                n += static_cast<std::uint64_t>(
-                    e->openCollectives());
-            return double(n);
-        });
+        m.addGauge("coll.entered", -1, total(&Totals::collEntered));
+        m.addGauge("coll.completed", -1, total(&Totals::collCompleted));
+        m.addGauge("coll.degraded", -1, total(&Totals::collDegraded));
+        m.addGauge("coll.retx", -1, total(&Totals::collRetx));
+        m.addGauge("coll.pruned", -1, total(&Totals::collPruned));
+        m.addGauge("coll.packets", -1, total(&Totals::collPackets));
+        m.addGauge("coll.open", -1, total(&Totals::collOpen));
     }
 
     if (anatomy_) {
@@ -545,8 +474,7 @@ Experiment::wireMetrics()
         });
     }
 
-    m.addDistSource("nic.latency",
-                    [this]() { return mergedLatency(); });
+    m.addDistSource("nic.latency", [tot]() { return tot->latency; });
 }
 
 void
@@ -706,179 +634,148 @@ Experiment::packetsSent() const
     return total;
 }
 
-Table
-Experiment::statsTable() const
+Experiment::Totals
+Experiment::totals() const
 {
+    Totals t;
+    for (const auto &nic : nics_) {
+        t.packetsSent += nic->packetsSent();
+        t.packetsDelivered += nic->packetsDelivered();
+        t.wordsDelivered += nic->wordsDelivered();
+        t.arrivalsPending +=
+            static_cast<std::uint64_t>(nic->arrivalsPending());
+        t.latency.merge(nic->latency());
+    }
+    for (const NifdyNic *nn : nifdyNics_) {
+        t.acksSent += nn->acksSent();
+        t.acksPiggybacked += nn->acksPiggybacked();
+        t.bulkGrants += nn->bulkGrants();
+        t.bulkRejects += nn->bulkRejects();
+        t.bulkPackets += nn->bulkPacketsSent();
+        t.optOccupancy += static_cast<std::uint64_t>(nn->optOccupancy());
+        t.poolOccupancy +=
+            static_cast<std::uint64_t>(nn->poolOccupancy());
+        t.windowUnacked += static_cast<std::uint64_t>(nn->bulkUnacked());
+        t.epochRejects += nn->epochRejects();
+        t.dialogTeardowns += nn->dialogTeardowns();
+        t.abandoned += nn->packetsAbandoned();
+        t.deadPeers += nn->deadPeers().size();
+    }
+    for (const LossyNifdyNic *ln : lossyNics_) {
+        t.retransmissions += ln->retransmissions();
+        t.dropped += ln->packetsDropped();
+        t.corruptDropped += ln->corruptDropped();
+        t.duplicates += ln->duplicatesSeen();
+        t.recovery.merge(ln->recoveryLatency());
+    }
+    for (const auto &e : collEngines_) {
+        t.collEntered += e->entered();
+        t.collCompleted += e->localCompleted();
+        t.collAbandoned += e->localAbandoned();
+        t.collDegraded += e->degradedCompletions();
+        t.collRetx += e->retransmissions();
+        t.collPruned += e->childrenPruned();
+        t.collEpochRejects += e->epochRejects();
+        t.collPackets += e->collPacketsSent();
+        t.collProbes += e->probesSent();
+        t.collTombReplies += e->tombstoneReplies();
+        t.collEvictions += e->slotEvictions();
+        t.collOpen += static_cast<std::uint64_t>(e->openCollectives());
+    }
+    for (const auto &p : procs_)
+        t.procBusy += p->cyclesBusy();
+    return t;
+}
+
+Table
+Experiment::statsTable(const Totals &tot) const
+{
+    const auto num = [](std::uint64_t v) {
+        return Table::num(static_cast<long>(v));
+    };
+    const auto pair = [&num](std::uint64_t a, std::uint64_t b) {
+        return num(a) + " / " + num(b);
+    };
     Table t("run statistics: " + net_->name() + " / " +
             nicKindName(cfg_.nicKind));
     t.header({"metric", "value"});
     Cycle now = kernel_.now();
-    t.row({"cycles", Table::num(static_cast<long>(now))});
+    t.row({"cycles", num(now)});
     t.row({"packets sent / delivered",
-           Table::num(static_cast<long>(packetsSent())) + " / " +
-               Table::num(static_cast<long>(packetsDelivered()))});
-    t.row({"payload words delivered",
-           Table::num(static_cast<long>(wordsDelivered()))});
+           pair(tot.packetsSent, tot.packetsDelivered)});
+    t.row({"payload words delivered", num(tot.wordsDelivered)});
     if (now > 0) {
         t.row({"packets per kcycle",
-               Table::num(packetsDelivered() * 1000.0 / now, 1)});
+               Table::num(tot.packetsDelivered * 1000.0 / now, 1)});
         t.row({"payload bytes per cycle",
-               Table::num(wordsDelivered() * double(bytesPerWord) /
+               Table::num(tot.wordsDelivered * double(bytesPerWord) /
                               now,
                           3)});
     }
 
-    double latMean = 0;
-    std::uint64_t latMax = 0;
-    std::uint64_t latSamples = 0;
-    for (const auto &nic : nics_) {
-        const Distribution &d = nic->latency();
-        latMean += double(d.sum());
-        latMax = std::max(latMax, d.max());
-        latSamples += d.count();
-    }
-    if (latSamples > 0) {
+    const Distribution &lat = tot.latency;
+    if (lat.count() > 0) {
         t.row({"packet latency mean / max",
-               Table::num(latMean / latSamples, 1) + " / " +
-                   Table::num(static_cast<long>(latMax))});
-        Distribution merged = mergedLatency();
+               Table::num(lat.mean(), 1) + " / " + num(lat.max())});
         t.row({"packet latency p50 / p95 / p99",
-               Table::num(merged.percentile(0.50), 0) + " / " +
-                   Table::num(merged.percentile(0.95), 0) + " / " +
-                   Table::num(merged.percentile(0.99), 0)});
+               Table::num(lat.percentile(0.50), 0) + " / " +
+                   Table::num(lat.percentile(0.95), 0) + " / " +
+                   Table::num(lat.percentile(0.99), 0)});
     }
 
-    if (cfg_.nicKind == NicKind::nifdy ||
-        cfg_.nicKind == NicKind::lossy) {
-        std::uint64_t acks = 0;
-        std::uint64_t piggy = 0;
-        std::uint64_t grants = 0;
-        std::uint64_t rejects = 0;
-        std::uint64_t bulk = 0;
-        for (const auto &nic : nics_) {
-            auto &nn = dynamic_cast<const NifdyNic &>(*nic);
-            acks += nn.acksSent();
-            piggy += nn.acksPiggybacked();
-            grants += nn.bulkGrants();
-            rejects += nn.bulkRejects();
-            bulk += nn.bulkPacketsSent();
-        }
+    if (nifdyKind()) {
         t.row({"acks sent / piggybacked",
-               Table::num(static_cast<long>(acks)) + " / " +
-                   Table::num(static_cast<long>(piggy))});
+               pair(tot.acksSent, tot.acksPiggybacked)});
         t.row({"bulk grants / rejects",
-               Table::num(static_cast<long>(grants)) + " / " +
-                   Table::num(static_cast<long>(rejects))});
-        t.row({"bulk data packets",
-               Table::num(static_cast<long>(bulk))});
-        int dead = totalDeadPeers();
-        if (dead > 0) {
-            std::uint64_t abandoned = 0;
-            for (const NifdyNic *nn2 : nifdyNics_)
-                abandoned += nn2->packetsAbandoned();
+               pair(tot.bulkGrants, tot.bulkRejects)});
+        t.row({"bulk data packets", num(tot.bulkPackets)});
+        if (tot.deadPeers > 0)
             t.row({"dead peers / packets abandoned",
-                   Table::num(static_cast<long>(dead)) + " / " +
-                       Table::num(static_cast<long>(abandoned))});
-        }
+                   pair(tot.deadPeers, tot.abandoned)});
     }
     if (cfg_.nicKind == NicKind::lossy) {
-        std::uint64_t retx = 0;
-        std::uint64_t drops = 0;
-        std::uint64_t dups = 0;
-        std::uint64_t crc = 0;
-        std::uint64_t recSum = 0;
-        std::uint64_t recCount = 0;
-        std::uint64_t recMax = 0;
-        for (const LossyNifdyNic *ln : lossyNics_) {
-            retx += ln->retransmissions();
-            drops += ln->packetsDropped();
-            dups += ln->duplicatesSeen();
-            crc += ln->corruptDropped();
-            const Distribution &d = ln->recoveryLatency();
-            recSum += d.sum();
-            recCount += d.count();
-            recMax = std::max(recMax, d.max());
-        }
         t.row({"retransmissions / drops / dups",
-               Table::num(static_cast<long>(retx)) + " / " +
-                   Table::num(static_cast<long>(drops)) + " / " +
-                   Table::num(static_cast<long>(dups))});
-        if (crc > 0)
+               pair(tot.retransmissions, tot.dropped) + " / " +
+                   num(tot.duplicates)});
+        if (tot.corruptDropped > 0)
             t.row({"corrupt packets discarded (CRC)",
-                   Table::num(static_cast<long>(crc))});
-        if (recCount > 0)
+                   num(tot.corruptDropped)});
+        if (tot.recovery.count() > 0)
             t.row({"recovery latency mean / max",
-                   Table::num(double(recSum) / recCount, 1) + " / " +
-                       Table::num(static_cast<long>(recMax))});
+                   Table::num(tot.recovery.mean(), 1) + " / " +
+                       num(tot.recovery.max())});
     }
     if (injector_) {
         t.row({"fabric drops (pkts / flits)",
-               Table::num(static_cast<long>(
-                   injector_->packetsDroppedInFabric())) +
-                   " / " +
-                   Table::num(static_cast<long>(
-                       injector_->flitsDroppedInFabric()))});
-        t.row({"fabric corruptions",
-               Table::num(static_cast<long>(
-                   injector_->packetsCorrupted()))});
+               pair(injector_->packetsDroppedInFabric(),
+                    injector_->flitsDroppedInFabric())});
+        t.row({"fabric corruptions", num(injector_->packetsCorrupted())});
         if (injector_->linksDowned() > 0)
-            t.row({"links downed",
-                   Table::num(static_cast<long>(
-                       injector_->linksDowned()))});
+            t.row({"links downed", num(injector_->linksDowned())});
     }
     if (nodeDriver_) {
         t.row({"node crashes / restarts",
-               Table::num(static_cast<long>(nodeCrashes_)) + " / " +
-                   Table::num(static_cast<long>(nodeRestarts_))});
-        if (cfg_.nicKind == NicKind::nifdy ||
-            cfg_.nicKind == NicKind::lossy) {
-            std::uint64_t erej = 0;
-            std::uint64_t tear = 0;
-            for (const NifdyNic *nn : nifdyNics_) {
-                erej += nn->epochRejects();
-                tear += nn->dialogTeardowns();
-            }
+               pair(nodeCrashes_, nodeRestarts_)});
+        if (nifdyKind())
             t.row({"epoch rejects / dialog teardowns",
-                   Table::num(static_cast<long>(erej)) + " / " +
-                       Table::num(static_cast<long>(tear))});
-        }
+                   pair(tot.epochRejects, tot.dialogTeardowns)});
     }
 
     if (!collEngines_.empty()) {
-        std::uint64_t entered = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t degraded = 0;
-        std::uint64_t retx = 0;
-        std::uint64_t prunedKids = 0;
-        std::uint64_t cpkts = 0;
-        for (const auto &e : collEngines_) {
-            entered += e->entered();
-            completed += e->localCompleted();
-            degraded += e->degradedCompletions();
-            retx += e->retransmissions();
-            prunedKids += e->childrenPruned();
-            cpkts += e->collPacketsSent();
-        }
         t.row({"collectives entered / completed",
-               Table::num(static_cast<long>(entered)) + " / " +
-                   Table::num(static_cast<long>(completed))});
+               pair(tot.collEntered, tot.collCompleted)});
         t.row({"collective packets / retx",
-               Table::num(static_cast<long>(cpkts)) + " / " +
-                   Table::num(static_cast<long>(retx))});
-        if (degraded > 0 || prunedKids > 0)
+               pair(tot.collPackets, tot.collRetx)});
+        if (tot.collDegraded > 0 || tot.collPruned > 0)
             t.row({"collectives degraded / children pruned",
-                   Table::num(static_cast<long>(degraded)) + " / " +
-                       Table::num(static_cast<long>(prunedKids))});
+                   pair(tot.collDegraded, tot.collPruned)});
     }
 
-    t.row({"fabric flits switched",
-           Table::num(static_cast<long>(net_->totalFlitsSwitched()))});
-    std::uint64_t busy = 0;
-    for (const auto &p : procs_)
-        busy += p->cyclesBusy();
+    t.row({"fabric flits switched", num(net_->totalFlitsSwitched())});
     if (now > 0)
         t.row({"processor busy fraction",
-               Table::num(double(busy) / (double(now) * numNodes()),
+               Table::num(double(tot.procBusy) /
+                              (double(now) * numNodes()),
                           3)});
     t.row({"in-order delivery", inOrder_ ? "yes" : "no"});
     return t;
@@ -901,9 +798,7 @@ Experiment::fillReport(RunReport &rep) const
     rep.echoConfig("nic", nicKindName(cfg_.nicKind));
     rep.echoConfig("seed", std::to_string(cfg_.seed));
     rep.echoConfig("inOrder", inOrder_ ? "yes" : "no");
-    bool nifdyKind =
-        cfg_.nicKind == NicKind::nifdy || cfg_.nicKind == NicKind::lossy;
-    if (nifdyKind) {
+    if (nifdyKind()) {
         rep.echoConfig("nifdy.opt", std::to_string(nifdyCfg_.opt));
         rep.echoConfig("nifdy.pool", std::to_string(nifdyCfg_.pool));
         rep.echoConfig("nifdy.dialogs",
@@ -916,64 +811,42 @@ Experiment::fillReport(RunReport &rep) const
         rep.echoConfig("coll.arity", std::to_string(cfg_.coll.arity));
     }
 
+    const Totals tot = totals();
     Cycle now = kernel_.now();
     rep.addMetric("run.cycles", std::uint64_t(now));
-    rep.addMetric("run.packets.sent", packetsSent());
-    rep.addMetric("run.packets.delivered", packetsDelivered());
-    rep.addMetric("run.words.delivered", wordsDelivered());
+    rep.addMetric("run.packets.sent", tot.packetsSent);
+    rep.addMetric("run.packets.delivered", tot.packetsDelivered);
+    rep.addMetric("run.words.delivered", tot.wordsDelivered);
     rep.addMetric("run.goodput",
-                  now > 0 ? wordsDelivered() * double(bytesPerWord) /
+                  now > 0 ? tot.wordsDelivered * double(bytesPerWord) /
                                 double(now)
                           : 0.0);
     rep.addMetric("fabric.flits.switched",
                   net_->totalFlitsSwitched());
 
-    Distribution lat = mergedLatency();
+    const Distribution &lat = tot.latency;
     if (lat.count() > 0) {
-        rep.addMetric("nic.latency.mean",
-                      double(lat.sum()) / lat.count());
+        rep.addMetric("nic.latency.mean", lat.mean());
         rep.addMetric("nic.latency.max", lat.max());
         rep.addMetric("nic.latency.p50", lat.percentile(0.50));
         rep.addMetric("nic.latency.p95", lat.percentile(0.95));
         rep.addMetric("nic.latency.p99", lat.percentile(0.99));
     }
 
-    std::uint64_t busy = 0;
-    for (const auto &p : procs_)
-        busy += p->cyclesBusy();
     if (now > 0)
         rep.addMetric("proc.busy.fraction",
-                      double(busy) / (double(now) * numNodes()));
+                      double(tot.procBusy) / (double(now) * numNodes()));
 
-    if (nifdyKind) {
-        std::uint64_t acks = 0;
-        std::uint64_t grants = 0;
-        std::uint64_t rejects = 0;
-        for (const auto &nic : nics_) {
-            auto &nn = static_cast<const NifdyNic &>(*nic);
-            acks += nn.acksSent();
-            grants += nn.bulkGrants();
-            rejects += nn.bulkRejects();
-        }
-        rep.addMetric("nifdy.acks.sent", acks);
-        rep.addMetric("nifdy.bulk.grants", grants);
-        rep.addMetric("nifdy.bulk.rejects", rejects);
+    if (nifdyKind()) {
+        rep.addMetric("nifdy.acks.sent", tot.acksSent);
+        rep.addMetric("nifdy.bulk.grants", tot.bulkGrants);
+        rep.addMetric("nifdy.bulk.rejects", tot.bulkRejects);
     }
     if (cfg_.nicKind == NicKind::lossy) {
-        std::uint64_t retx = 0;
-        std::uint64_t drops = 0;
-        std::uint64_t dups = 0;
-        std::uint64_t abandoned = 0;
-        for (const LossyNifdyNic *ln : lossyNics_) {
-            retx += ln->retransmissions();
-            drops += ln->packetsDropped() + ln->corruptDropped();
-            dups += ln->duplicatesSeen();
-            abandoned += ln->packetsAbandoned();
-        }
-        rep.addMetric("lossy.retransmissions", retx);
-        rep.addMetric("lossy.drops", drops);
-        rep.addMetric("lossy.duplicates", dups);
-        rep.addMetric("lossy.abandoned", abandoned);
+        rep.addMetric("lossy.retransmissions", tot.retransmissions);
+        rep.addMetric("lossy.drops", tot.dropped + tot.corruptDropped);
+        rep.addMetric("lossy.duplicates", tot.duplicates);
+        rep.addMetric("lossy.abandoned", tot.abandoned);
     }
     if (injector_) {
         rep.addMetric("fault.fabric.drops",
@@ -986,73 +859,30 @@ Experiment::fillReport(RunReport &rep) const
     if (nodeDriver_) {
         rep.addMetric("node.crashes", nodeCrashes_);
         rep.addMetric("node.restarts", nodeRestarts_);
-        if (nifdyKind) {
-            std::uint64_t erej = 0;
-            std::uint64_t tear = 0;
-            std::uint64_t abandoned = 0;
-            for (const NifdyNic *nn : nifdyNics_) {
-                erej += nn->epochRejects();
-                tear += nn->dialogTeardowns();
-                abandoned += nn->packetsAbandoned();
-            }
-            rep.addMetric("nic.epoch.rejects", erej);
-            rep.addMetric("nifdy.dialog.teardowns", tear);
-            rep.addMetric("nifdy.dead.peers",
-                          std::uint64_t(totalDeadPeers()));
-            rep.addMetric("nifdy.abandoned", abandoned);
+        if (nifdyKind()) {
+            rep.addMetric("nic.epoch.rejects", tot.epochRejects);
+            rep.addMetric("nifdy.dialog.teardowns", tot.dialogTeardowns);
+            rep.addMetric("nifdy.dead.peers", tot.deadPeers);
+            rep.addMetric("nifdy.abandoned", tot.abandoned);
         }
     }
 
     if (!collEngines_.empty()) {
-        std::uint64_t entered = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t abandoned = 0;
-        std::uint64_t degraded = 0;
-        std::uint64_t retx = 0;
-        std::uint64_t prunedKids = 0;
-        std::uint64_t erej = 0;
-        std::uint64_t cpkts = 0;
-        std::uint64_t probes = 0;
-        std::uint64_t tombs = 0;
-        std::uint64_t evict = 0;
-        for (const auto &e : collEngines_) {
-            entered += e->entered();
-            completed += e->localCompleted();
-            abandoned += e->localAbandoned();
-            degraded += e->degradedCompletions();
-            retx += e->retransmissions();
-            prunedKids += e->childrenPruned();
-            erej += e->epochRejects();
-            cpkts += e->collPacketsSent();
-            probes += e->probesSent();
-            tombs += e->tombstoneReplies();
-            evict += e->slotEvictions();
-        }
-        rep.addMetric("coll.entered", entered);
-        rep.addMetric("coll.completed", completed);
-        rep.addMetric("coll.abandoned", abandoned);
-        rep.addMetric("coll.degraded", degraded);
-        rep.addMetric("coll.retx", retx);
-        rep.addMetric("coll.pruned", prunedKids);
-        rep.addMetric("coll.epoch.rejects", erej);
-        rep.addMetric("coll.packets", cpkts);
-        rep.addMetric("coll.probes", probes);
-        rep.addMetric("coll.tomb.replies", tombs);
-        rep.addMetric("coll.evictions", evict);
+        rep.addMetric("coll.entered", tot.collEntered);
+        rep.addMetric("coll.completed", tot.collCompleted);
+        rep.addMetric("coll.abandoned", tot.collAbandoned);
+        rep.addMetric("coll.degraded", tot.collDegraded);
+        rep.addMetric("coll.retx", tot.collRetx);
+        rep.addMetric("coll.pruned", tot.collPruned);
+        rep.addMetric("coll.epoch.rejects", tot.collEpochRejects);
+        rep.addMetric("coll.packets", tot.collPackets);
+        rep.addMetric("coll.probes", tot.collProbes);
+        rep.addMetric("coll.tomb.replies", tot.collTombReplies);
+        rep.addMetric("coll.evictions", tot.collEvictions);
     }
 
     if (anatomy_) {
-        rep.addMetric("anatomy.packets", anatomy_->packets());
-        rep.addMetric("anatomy.discarded", anatomy_->discarded());
-        rep.addMetric("anatomy.latency.cycles",
-                      anatomy_->totalLatency());
-        rep.addMetric("anatomy.cycles.total",
-                      anatomy_->totalAttributed());
-        for (int i = 0; i < numStallCauses; ++i)
-            rep.addMetric(std::string("anatomy.cycles.") +
-                              stallCauseSlugs[i],
-                          anatomy_->totalCycles(
-                              static_cast<StallCause>(i)));
+        anatomy_->reportMetrics(rep, "");
         if (anatomy_->e2e().count() > 0) {
             rep.addMetric("anatomy.e2e.mean", anatomy_->e2e().mean());
             rep.addMetric("anatomy.e2e.p95",
@@ -1072,21 +902,7 @@ Experiment::fillReport(RunReport &rep) const
         // nothing records after fillReport().
         congestion_->finish(kernel_.now());
         CongestionObserver &co = *congestion_;
-        rep.addMetric("congestion.links", std::uint64_t(co.numLinks()));
-        rep.addMetric("congestion.cycles.observed",
-                      co.cyclesObserved());
-        rep.addMetric("congestion.windows", co.windowsClosed());
-        rep.addMetric("congestion.episodes", co.episodesOpened());
-        rep.addMetric("congestion.cycles.busy", co.totalBusy());
-        rep.addMetric("congestion.cycles.idle", co.totalIdle());
-        rep.addMetric("congestion.cycles.stalled", co.totalStalled());
-        rep.addMetric("congestion.flows",
-                      std::uint64_t(co.numFlows()));
-        rep.addMetric("congestion.aggressors",
-                      std::uint64_t(co.aggressorFlows()));
-        rep.addMetric("congestion.victims",
-                      std::uint64_t(co.victimFlows()));
-        rep.addMetric("congestion.slowdown.max", co.maxSlowdown());
+        co.reportMetrics(rep, "");
         const int hot = co.hottestLink();
         if (hot >= 0) {
             const CongestionObserver::LinkStats &l = co.link(hot);
@@ -1104,36 +920,10 @@ Experiment::fillReport(RunReport &rep) const
         rep.addTable(co.episodeTable("congestion: episodes"));
     }
 
-    if (profiler_) {
-        const Profiler &p = *profiler_;
-        // Deterministic step/idle counters: pure functions of the
-        // simulation, so they live in the normal metrics section.
-        rep.addMetric("profile.cycles", p.cycles());
-        rep.addMetric("profile.cycles.timed", p.timedCycles());
-        const auto &classes = p.classes();
-        for (std::size_t c = 0; c < classes.size(); ++c) {
-            rep.addMetric("profile.steps." + classes[c],
-                          p.classSteps(c));
-            rep.addMetric("profile.idlesteps." + classes[c],
-                          p.classIdleSteps(c));
-        }
-        // Host-time figures: nondeterministic, quarantined in the
-        // report's "profile" section (excluded from byte-identity).
-        rep.addProfile("host.loop.ns", p.loopNs());
-        if (p.timedCycles() > 0)
-            rep.addProfile("host.loop.nspercycle",
-                           double(p.loopNs()) /
-                               double(p.timedCycles()));
-        for (std::size_t c = 0; c < classes.size(); ++c)
-            rep.addProfile("host.class." + classes[c] + ".ns",
-                           p.classNs(c));
-        for (int ph = 0; ph < numProfPhases; ++ph)
-            rep.addProfile(std::string("host.phase.") +
-                               profPhaseSlugs[ph] + ".ns",
-                           p.phaseNs(static_cast<ProfPhase>(ph)));
-    }
+    if (profiler_)
+        profiler_->reportMetrics(rep, "");
 
-    rep.addTable(statsTable());
+    rep.addTable(statsTable(tot));
 }
 
 void

@@ -206,16 +206,79 @@ class Experiment
 
     //! @name Aggregate delivery statistics (data packets)
     //! @{
+    /** Cheap single-counter sums, fit for a per-cycle predicate. */
     std::uint64_t packetsDelivered() const;
     std::uint64_t wordsDelivered() const;
     std::uint64_t packetsSent() const;
+
+    /**
+     * Machine-wide run counters: every per-node NIC, processor and
+     * collective-engine counter, summed once. The report, the stats
+     * table, the metric gauges and the benches all read these sums;
+     * a family the run lacks (NIFDY or lossy NICs, collective
+     * offload) stays zero.
+     */
+    struct Totals
+    {
+        //! @name Every NIC
+        //! @{
+        std::uint64_t packetsSent = 0;
+        std::uint64_t packetsDelivered = 0;
+        std::uint64_t wordsDelivered = 0;
+        std::uint64_t arrivalsPending = 0;
+        Distribution latency{"nic.latency"};
+        //! @}
+        //! @name NIFDY NICs (nic=nifdy and nic=lossy)
+        //! @{
+        std::uint64_t acksSent = 0;
+        std::uint64_t acksPiggybacked = 0;
+        std::uint64_t bulkGrants = 0;
+        std::uint64_t bulkRejects = 0;
+        std::uint64_t bulkPackets = 0;
+        std::uint64_t optOccupancy = 0;
+        std::uint64_t poolOccupancy = 0;
+        std::uint64_t windowUnacked = 0;
+        std::uint64_t epochRejects = 0;
+        std::uint64_t dialogTeardowns = 0;
+        std::uint64_t abandoned = 0;
+        std::uint64_t deadPeers = 0; //!< (node, dead peer) pairs
+        //! @}
+        //! @name Lossy NICs (nic=lossy)
+        //! @{
+        std::uint64_t retransmissions = 0;
+        std::uint64_t dropped = 0;        //!< receiver-side drops
+        std::uint64_t corruptDropped = 0; //!< CRC discards
+        std::uint64_t duplicates = 0;
+        Distribution recovery{"lossy.recovery.latency"};
+        //! @}
+        //! @name Collective engines (coll.offload=nic)
+        //! @{
+        std::uint64_t collEntered = 0;
+        std::uint64_t collCompleted = 0;
+        std::uint64_t collAbandoned = 0;
+        std::uint64_t collDegraded = 0;
+        std::uint64_t collRetx = 0;
+        std::uint64_t collPruned = 0;
+        std::uint64_t collEpochRejects = 0;
+        std::uint64_t collPackets = 0;
+        std::uint64_t collProbes = 0;
+        std::uint64_t collTombReplies = 0;
+        std::uint64_t collEvictions = 0;
+        std::uint64_t collOpen = 0;
+        //! @}
+        /** Busy processor cycles over every node. */
+        std::uint64_t procBusy = 0;
+    };
+
+    /** Sum every counter of Totals in one pass over the nodes. */
+    Totals totals() const;
 
     /**
      * One-line-per-metric run summary: delivery counts, latency,
      * protocol activity (acks, grants, retransmissions), fabric
      * utilization, and processor busy fraction.
      */
-    Table statsTable() const;
+    Table statsTable() const { return statsTable(totals()); }
 
     /**
      * Aggregate packet latency merged across every NIC (the source
@@ -232,6 +295,14 @@ class Experiment
     //! @}
 
   private:
+    bool nifdyKind() const
+    {
+        return cfg_.nicKind == NicKind::nifdy ||
+               cfg_.nicKind == NicKind::lossy;
+    }
+
+    Table statsTable(const Totals &tot) const;
+
     /** Register the standard gauge/distribution set on metrics_. */
     void wireMetrics();
 

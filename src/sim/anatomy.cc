@@ -5,6 +5,7 @@
 #include "net/packet.hh"
 #include "sim/audit.hh"
 #include "sim/log.hh"
+#include "sim/report.hh"
 #include "sim/trace.hh"
 
 namespace nifdy
@@ -310,6 +311,19 @@ Anatomy::finish(Cycle now)
     for (const auto &kv : recs_) // nifdy:unordered-ok(commutative decrement, order-free)
         --live_[static_cast<int>(kv.second.cur)];
     recs_.clear();
+}
+
+void
+Anatomy::reportMetrics(RunReport &rep, const std::string &scope) const
+{
+    const std::string prefix = "anatomy." + scope;
+    rep.addMetric(prefix + "packets", packets_);
+    rep.addMetric(prefix + "discarded", discarded_);
+    rep.addMetric(prefix + "latency.cycles", totalLatency());
+    rep.addMetric(prefix + "cycles.total", totalAttributed());
+    for (int c = 0; c < numStallCauses; ++c)
+        rep.addMetric(prefix + "cycles." + stallCauseSlugs[c],
+                      totals_[c]);
 }
 
 Table

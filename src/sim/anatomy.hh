@@ -63,6 +63,7 @@ namespace nifdy
 
 struct Packet;
 class InvariantChecker;
+class RunReport;
 class Tracer;
 
 /**
@@ -224,6 +225,11 @@ class Anatomy
 
     //! @name Rendering
     //! @{
+    /** Add the conservation block -- packets, discarded, latency and
+     * per-cause cycles -- to @p rep as "anatomy.<scope>..." metrics;
+     * @p scope is empty for a run report, "<tag>." for a bench's
+     * per-configuration group. */
+    void reportMetrics(RunReport &rep, const std::string &scope) const;
     /** Cause / cycles / share / per-packet-mean blame table. */
     Table blameTable(const std::string &title) const;
     /** Per-source-node cycles-by-cause table (outlier hunting). */

@@ -8,6 +8,7 @@
 #include "net/topology.hh"
 #include "sim/audit.hh"
 #include "sim/log.hh"
+#include "sim/report.hh"
 #include "sim/trace.hh"
 
 namespace nifdy
@@ -517,6 +518,25 @@ CongestionObserver::hottestLink() const
         }
     }
     return best;
+}
+
+void
+CongestionObserver::reportMetrics(RunReport &rep,
+                                  const std::string &scope) const
+{
+    const std::string prefix = "congestion." + scope;
+    rep.addMetric(prefix + "links", std::uint64_t(numLinks()));
+    rep.addMetric(prefix + "cycles.observed", cyclesObserved_);
+    rep.addMetric(prefix + "windows", windowsClosed_);
+    rep.addMetric(prefix + "episodes", episodesOpened_);
+    rep.addMetric(prefix + "cycles.busy", totalBusy());
+    rep.addMetric(prefix + "cycles.idle", totalIdle());
+    rep.addMetric(prefix + "cycles.stalled", totalStalled());
+    rep.addMetric(prefix + "flows", std::uint64_t(numFlows()));
+    rep.addMetric(prefix + "aggressors",
+                  std::uint64_t(aggressorFlows()));
+    rep.addMetric(prefix + "victims", std::uint64_t(victimFlows()));
+    rep.addMetric(prefix + "slowdown.max", maxSlowdown());
 }
 
 Table

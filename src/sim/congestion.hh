@@ -61,6 +61,7 @@ struct Flit;
 class Channel;
 class Network;
 class InvariantChecker;
+class RunReport;
 class Tracer;
 
 /** Runtime knobs (CLI: congestion.enabled / congestion.window / ...). */
@@ -264,6 +265,11 @@ class CongestionObserver : public Steppable
 
     //! @name Rendering
     //! @{
+    /** Add the link-tiling and flow-verdict totals to @p rep as
+     * "congestion.<scope>..." metrics; @p scope is empty for a run
+     * report, "<tag>." for a bench's per-configuration group. Call
+     * finish() first so open episodes carry final verdicts. */
+    void reportMetrics(RunReport &rep, const std::string &scope) const;
     /** Per-link stall map (links that saw traffic or stalls). */
     Table linkTable(const std::string &title) const;
     /** Ranked flow progress/slowdown table (worst @p maxRows). */

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 namespace nifdy
 {
@@ -197,6 +198,23 @@ JsonWriter::raw(std::string_view json)
     separate();
     out_ += json;
     noteValue();
+}
+
+std::string
+uniquifyPath(const std::string &path)
+{
+    // nifdy:static-ok(process-wide output-path dedup; file naming only, never behavioral)
+    static std::map<std::string, int> uses;
+    int n = ++uses[path];
+    if (n == 1)
+        return path;
+    std::string suffix = "." + JsonWriter::numStr(std::int64_t(n));
+    std::size_t dot = path.rfind('.');
+    std::size_t slash = path.rfind('/');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return path + suffix;
+    return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
 } // namespace nifdy

@@ -82,6 +82,15 @@ class JsonWriter
     bool afterKey_ = false;
 };
 
+/**
+ * The output file name for a telemetry sink asked to write @p path:
+ * @p path itself on its first use in the process, then "name.2.ext",
+ * "name.3.ext", ... on later uses. The tracer and the metric stream
+ * both name their files through this, so a bench that builds several
+ * experiments never clobbers an earlier experiment's file.
+ */
+std::string uniquifyPath(const std::string &path);
+
 } // namespace nifdy
 
 #endif // NIFDY_SIM_JSON_HH

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 
 namespace nifdy
@@ -11,6 +12,44 @@ namespace
 {
 
 bool quietFlag = false;
+
+/** What fatal() throws: a std::runtime_error to its callers (tests
+ * catch it as one), and distinguishable from a panic below. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void exitOnFatal();
+
+/** Installed before main() in every binary, since each links this
+ * file; the previous (default) handler stays in charge of the rest. */
+const std::terminate_handler defaultTerminate =
+    std::set_terminate(exitOnFatal);
+
+/**
+ * An uncaught fatal() is a user error whose diagnosis is already on
+ * stderr: exit with status 1 instead of aborting. Anything else (a
+ * panic, a foreign exception) keeps the default behaviour, the
+ * "terminate called ..." line and abort().
+ */
+void
+exitOnFatal()
+{
+    if (std::exception_ptr e = std::current_exception()) {
+        try {
+            std::rethrow_exception(e);
+        } catch (const FatalError &) {
+            std::fflush(nullptr);
+            std::_Exit(1);
+        } catch (...) {
+        }
+    }
+    if (defaultTerminate)
+        defaultTerminate();
+    std::abort();
+}
 
 std::string
 formatVa(const char *fmt, va_list ap)
@@ -59,7 +98,7 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::string msg = formatVa(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

@@ -4,10 +4,10 @@
  *
  * panic()  - a simulator bug: something that should never happen
  *            regardless of user input. Throws std::logic_error
- *            (fatal at top level; catchable by tests).
+ *            (catchable by tests; uncaught, it aborts).
  * fatal()  - a user error (bad configuration, invalid arguments).
- *            Throws std::runtime_error (exits with status 1 at top
- *            level).
+ *            Throws std::runtime_error (catchable by tests; uncaught,
+ *            the process exits with status 1).
  * warn()   - functionality that might not behave as expected.
  * inform() - plain status output.
  */

@@ -55,6 +55,7 @@ Metrics::startSnapshots(const MetricsConfig &cfg)
              "metrics snapshots need a metrics.path");
     panic_if(writer_ != nullptr, "metrics snapshots already started");
     cfg_ = cfg;
+    cfg_.path = uniquifyPath(cfg.path);
     writer_ = std::make_unique<Writer>();
     writer_->out.open(cfg_.path,
                       std::ios::binary | std::ios::trunc);
@@ -110,10 +111,10 @@ Metrics::snapshotJson(Cycle now) const
     w.field("schema", "nifdy-metrics-1");
     w.field("cycle", std::uint64_t(now));
 
+    // Kept, always empty, for nifdy-metrics-1 readers: every count
+    // is a gauge.
     w.key("counters");
     w.beginObject();
-    for (const Counter *c : stats_.counters())
-        w.field(c->name(), c->value());
     w.endObject();
 
     w.key("gauges");
@@ -124,9 +125,9 @@ Metrics::snapshotJson(Cycle now) const
 
     w.key("distributions");
     w.beginObject();
-    auto emitDist = [&w](const std::string &key,
-                         const Distribution &d) {
-        w.key(key);
+    for (const DistSource &src : distSources_) {
+        const Distribution d = src.fn();
+        w.key(src.key);
         w.beginObject();
         w.field("count", d.count());
         w.field("mean", d.mean());
@@ -136,11 +137,7 @@ Metrics::snapshotJson(Cycle now) const
         w.field("p95", d.percentile(0.95));
         w.field("p99", d.percentile(0.99));
         w.endObject();
-    };
-    for (const Distribution *d : stats_.distributions())
-        emitDist(d->name(), *d);
-    for (const DistSource &src : distSources_)
-        emitDist(src.key, src.fn());
+    }
     w.endObject();
 
     w.endObject();

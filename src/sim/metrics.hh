@@ -2,14 +2,12 @@
  * @file
  * Metric registry with periodic JSONL snapshots.
  *
- * Layered on StatSet: a Metrics object owns a StatSet (counters,
- * distributions, time series) and adds two registration kinds that
- * StatSet cannot express:
+ * A Metrics object holds two registration kinds:
  *
- *  - gauges: named callbacks sampled only at snapshot instants
- *    (per-channel utilization, OPT/window occupancy, buffer depth);
- *    registration is cheap and sampling cost is paid per snapshot,
- *    never per cycle;
+ *  - gauges: named callbacks sampled only at snapshot instants, in
+ *    registration order (per-channel utilization, OPT/window
+ *    occupancy, buffer depth); registration is cheap and sampling
+ *    cost is paid per snapshot, never per cycle;
  *  - distribution sources: callbacks producing a Distribution on
  *    demand (e.g. packet latency merged across every NIC), exported
  *    with p50/p95/p99 from the power-of-two histogram buckets.
@@ -56,10 +54,6 @@ class Metrics
     Metrics(const Metrics &) = delete;
     Metrics &operator=(const Metrics &) = delete;
 
-    /** The underlying registry for plain counters/distributions. */
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
-
     /**
      * Register a gauge. @p instance distinguishes replicas of one
      * component kind (router 3, channel 17, ...); the exported key
@@ -74,7 +68,8 @@ class Metrics
     void addDistSource(const std::string &name,
                        std::function<Distribution()> fn);
 
-    /** Open the JSONL file and arm periodic snapshots. */
+    /** Open the JSONL file, named through uniquifyPath(), and arm
+     * periodic snapshots. */
     void startSnapshots(const MetricsConfig &cfg);
     bool snapshotting() const { return writer_ != nullptr; }
 
@@ -105,7 +100,6 @@ class Metrics
 
     void takeSnapshot(Cycle now);
 
-    StatSet stats_;
     std::vector<Gauge> gauges_;
     std::vector<DistSource> distSources_;
     MetricsConfig cfg_;

@@ -4,6 +4,7 @@
 
 #include "sim/kernel.hh"
 #include "sim/log.hh"
+#include "sim/report.hh"
 
 namespace nifdy
 {
@@ -102,6 +103,33 @@ Profiler::classIdleSteps(std::size_t c) const
         if (comp.cls == c)
             n += comp.idleSteps;
     return n;
+}
+
+void
+Profiler::reportMetrics(RunReport &rep, const std::string &scope) const
+{
+    // Deterministic step/idle counters: pure functions of the
+    // simulation, so they live in the normal metrics section.
+    const std::string mp = "profile." + scope;
+    rep.addMetric(mp + "cycles", cycles_);
+    rep.addMetric(mp + "cycles.timed", timedCycles_);
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        rep.addMetric(mp + "steps." + classes_[c], classSteps(c));
+        rep.addMetric(mp + "idlesteps." + classes_[c],
+                      classIdleSteps(c));
+    }
+    // Host-time figures: nondeterministic, quarantined in the
+    // report's "profile" section (excluded from byte-identity).
+    const std::string hp = "host." + scope;
+    rep.addProfile(hp + "loop.ns", loopNs_);
+    if (timedCycles_ > 0)
+        rep.addProfile(hp + "loop.nspercycle",
+                       double(loopNs_) / double(timedCycles_));
+    for (std::size_t c = 0; c < classes_.size(); ++c)
+        rep.addProfile(hp + "class." + classes_[c] + ".ns", classNs(c));
+    for (int ph = 0; ph < numProfPhases; ++ph)
+        rep.addProfile(hp + "phase." + profPhaseSlugs[ph] + ".ns",
+                       phaseNs_[ph]);
 }
 
 } // namespace nifdy

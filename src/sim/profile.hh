@@ -51,6 +51,7 @@
 namespace nifdy
 {
 
+class RunReport;
 class Steppable;
 
 /**
@@ -191,6 +192,15 @@ class Profiler
     std::uint64_t classIdleSteps(std::size_t c) const;
     std::size_t numComponents() const { return comps_.size(); }
     //! @}
+
+    /**
+     * Add the account to @p rep: the deterministic step/idle counters
+     * as "profile.<scope>..." metrics, the host-time figures as
+     * "host.<scope>..." entries of the nondeterministic profile
+     * section. @p scope is empty for a run report, "<tag>." for a
+     * bench's per-configuration group.
+     */
+    void reportMetrics(RunReport &rep, const std::string &scope) const;
 
   private:
     /** Cold rebuild of the per-component accounts. */

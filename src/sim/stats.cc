@@ -74,13 +74,6 @@ Distribution::merge(const Distribution &other)
 }
 
 void
-Distribution::reset()
-{
-    count_ = sum_ = min_ = max_ = 0;
-    buckets_.clear();
-}
-
-void
 TimeSeries::record(Cycle now, std::vector<std::uint32_t> row)
 {
     panic_if(row.size() != static_cast<std::size_t>(width_),
@@ -94,37 +87,6 @@ const std::vector<std::uint32_t> &
 TimeSeries::row(std::size_t i) const
 {
     return rows_.at(i);
-}
-
-void
-TimeSeries::reset()
-{
-    times_.clear();
-    rows_.clear();
-    nextSample_ = 0;
-}
-
-std::string
-TimeSeries::dump() const
-{
-    std::string out = name_;
-    out += ' ';
-    out += JsonWriter::numStr(std::int64_t(width_));
-    out += ' ';
-    out += JsonWriter::numStr(std::uint64_t(interval_));
-    out += ' ';
-    out += JsonWriter::numStr(std::uint64_t(rows_.size()));
-    out += '\n';
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        out += '@';
-        out += JsonWriter::numStr(std::uint64_t(times_[i]));
-        for (std::uint32_t v : rows_[i]) {
-            out += ' ';
-            out += JsonWriter::numStr(std::uint64_t(v));
-        }
-        out += '\n';
-    }
-    return out;
 }
 
 std::string
@@ -151,123 +113,6 @@ TimeSeries::json() const
     w.endArray();
     w.endObject();
     return w.take();
-}
-
-Counter &
-StatSet::counter(const std::string &name)
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, Counter(name)).first;
-    return it->second;
-}
-
-Distribution &
-StatSet::distribution(const std::string &name)
-{
-    auto it = dists_.find(name);
-    if (it == dists_.end())
-        it = dists_.emplace(name, Distribution(name)).first;
-    return it->second;
-}
-
-std::vector<const Counter *>
-StatSet::counters() const
-{
-    std::vector<const Counter *> out;
-    for (const auto &kv : counters_)
-        out.push_back(&kv.second);
-    return out;
-}
-
-TimeSeries &
-StatSet::timeSeries(const std::string &name, int width, Cycle interval)
-{
-    auto it = series_.find(name);
-    if (it == series_.end()) {
-        it = series_.emplace(name, TimeSeries(name, width, interval))
-                 .first;
-    } else {
-        panic_if(it->second.width() != width ||
-                     it->second.interval() != interval,
-                 "TimeSeries %s re-registered with mismatched shape "
-                 "(%dx%llu vs %dx%llu)",
-                 name.c_str(), width,
-                 static_cast<unsigned long long>(interval),
-                 it->second.width(),
-                 static_cast<unsigned long long>(it->second.interval()));
-    }
-    return it->second;
-}
-
-const TimeSeries *
-StatSet::findTimeSeries(const std::string &name) const
-{
-    auto it = series_.find(name);
-    return it == series_.end() ? nullptr : &it->second;
-}
-
-std::vector<const Distribution *>
-StatSet::distributions() const
-{
-    std::vector<const Distribution *> out;
-    for (const auto &kv : dists_)
-        out.push_back(&kv.second);
-    return out;
-}
-
-std::vector<const TimeSeries *>
-StatSet::timeSeriesAll() const
-{
-    std::vector<const TimeSeries *> out;
-    for (const auto &kv : series_)
-        out.push_back(&kv.second);
-    return out;
-}
-
-void
-StatSet::reset()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : dists_)
-        kv.second.reset();
-    for (auto &kv : series_)
-        kv.second.reset();
-}
-
-std::string
-StatSet::dump() const
-{
-    std::string out;
-    for (const auto &kv : counters_) {
-        out += kv.first;
-        out += ' ';
-        out += JsonWriter::numStr(kv.second.value());
-        out += '\n';
-    }
-    for (const auto &kv : dists_) {
-        const Distribution &d = kv.second;
-        out += kv.first;
-        out += " count=";
-        out += JsonWriter::numStr(d.count());
-        out += " mean=";
-        out += JsonWriter::numStr(d.mean());
-        out += " min=";
-        out += JsonWriter::numStr(d.min());
-        out += " max=";
-        out += JsonWriter::numStr(d.max());
-        out += " p50=";
-        out += JsonWriter::numStr(d.percentile(0.50));
-        out += " p95=";
-        out += JsonWriter::numStr(d.percentile(0.95));
-        out += " p99=";
-        out += JsonWriter::numStr(d.percentile(0.99));
-        out += '\n';
-    }
-    for (const auto &kv : series_)
-        out += kv.second.dump();
-    return out;
 }
 
 } // namespace nifdy

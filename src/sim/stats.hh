@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics: counters, distributions, and sampled time
- * series (used, e.g., for the Figure-5 pending-packets heat map).
+ * Lightweight statistics: distributions and sampled time series
+ * (used, e.g., for the Figure-5 pending-packets heat map).
  */
 
 #ifndef NIFDY_SIM_STATS_HH
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,22 +16,6 @@
 
 namespace nifdy
 {
-
-/** A simple named monotonically increasing counter. */
-class Counter
-{
-  public:
-    explicit Counter(std::string name = "") : name_(std::move(name)) {}
-
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-    const std::string &name() const { return name_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::string name_;
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Running distribution: count / sum / min / max / mean, plus a
@@ -69,8 +52,6 @@ class Distribution
      * aggregates); min/max/buckets combine exactly. */
     void merge(const Distribution &other);
 
-    void reset();
-
   private:
     std::string name_;
     std::uint64_t count_ = 0;
@@ -91,10 +72,6 @@ class TimeSeries
         : name_(std::move(name)), width_(width), interval_(interval)
     {}
 
-    /** Number of columns per row. */
-    int width() const { return width_; }
-    Cycle interval() const { return interval_; }
-
     /** True when it is time to take another sample. */
     bool due(Cycle now) const { return now >= nextSample_; }
 
@@ -106,13 +83,6 @@ class TimeSeries
     Cycle rowTime(std::size_t i) const { return times_.at(i); }
     const std::string &name() const { return name_; }
 
-    /** Drop all recorded rows and rearm the sampling clock. */
-    void reset();
-
-    /** Deterministic text form: one `@cycle v0 v1 ...` line per
-     * row, preceded by a `name width interval rows` header. */
-    std::string dump() const;
-
     /** JSON object {name, width, interval, times, rows}. */
     std::string json() const;
 
@@ -123,50 +93,6 @@ class TimeSeries
     Cycle nextSample_ = 0;
     std::vector<Cycle> times_;
     std::vector<std::vector<std::uint32_t>> rows_;
-};
-
-/**
- * A registry that owns named stats so components can share a sink.
- * Benches create one StatSet per simulation run.
- */
-class StatSet
-{
-  public:
-    Counter &counter(const std::string &name);
-    Distribution &distribution(const std::string &name);
-
-    /**
-     * Named time-series registry. The first call creates the series
-     * with the given shape; later calls return the same object and
-     * panic on a width/interval mismatch (two components disagreeing
-     * about a shared series is a wiring bug).
-     */
-    TimeSeries &timeSeries(const std::string &name, int width,
-                           Cycle interval);
-    /** Look up an existing series, nullptr when absent. */
-    const TimeSeries *findTimeSeries(const std::string &name) const;
-
-    /** All counters in name order. */
-    std::vector<const Counter *> counters() const;
-    std::vector<const Distribution *> distributions() const;
-    std::vector<const TimeSeries *> timeSeriesAll() const;
-
-    /** Reset every registered stat (counters, distributions, and
-     * time series) in place; registrations survive. */
-    void reset();
-
-    /**
-     * Deterministic, locale-independent text dump: map ordering is
-     * already name-sorted, and every number (including distribution
-     * means and percentiles) is rendered via std::to_chars so the
-     * bytes never depend on the global locale or stream state.
-     */
-    std::string dump() const;
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> dists_;
-    std::map<std::string, TimeSeries> series_;
 };
 
 } // namespace nifdy

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <unordered_map>
 
 #include "net/packet.hh"
@@ -12,33 +11,6 @@
 
 namespace nifdy
 {
-
-namespace
-{
-
-/**
- * Per-path use counts for suffix uniquification, so a bench that
- * builds several traced experiments in one process never clobbers an
- * earlier trace file.
- */
-std::string
-uniquifyPath(const std::string &path)
-{
-    // nifdy:static-ok(process-wide output-path dedup; file naming only, never behavioral)
-    static std::map<std::string, int> uses;
-    int n = ++uses[path];
-    if (n == 1)
-        return path;
-    std::string suffix = "." + JsonWriter::numStr(std::int64_t(n));
-    std::size_t dot = path.rfind('.');
-    std::size_t slash = path.rfind('/');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + suffix;
-    return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
-} // namespace
 
 void
 TraceConfig::validate() const

@@ -318,17 +318,6 @@ TEST(Config, NifdyDefaultsFollowTheTopology)
     EXPECT_EQ(cfg.nifdy.window, bestNifdyParams("mesh2d").window);
 }
 
-TEST(Stats, CounterBasics)
-{
-    Counter c("x");
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Stats, DistributionMoments)
 {
     Distribution d("lat");
@@ -417,53 +406,18 @@ TEST(Stats, TimeSeriesSampling)
     EXPECT_EQ(ts.rowTime(1), 100u);
 }
 
-TEST(Stats, StatSetNamesAndDump)
+TEST(Stats, TimeSeriesJson)
 {
-    StatSet s;
-    s.counter("a").inc(3);
-    s.distribution("d").sample(5);
-    EXPECT_EQ(s.counter("a").value(), 3u);
-    auto dump = s.dump();
-    EXPECT_NE(dump.find("a 3"), std::string::npos);
-    EXPECT_NE(dump.find("count=1"), std::string::npos);
-    EXPECT_NE(dump.find("p50="), std::string::npos);
-}
-
-TEST(Stats, StatSetDumpIsOrderIndependent)
-{
-    StatSet a;
-    a.counter("z").inc(1);
-    a.counter("a").inc(2);
-    a.distribution("lat").sample(5);
-
-    StatSet b;
-    b.distribution("lat").sample(5);
-    b.counter("a").inc(2);
-    b.counter("z").inc(1);
-
-    EXPECT_EQ(a.dump(), b.dump());
-}
-
-TEST(Stats, StatSetTimeSeriesRegistry)
-{
-    StatSet s;
-    TimeSeries &ts = s.timeSeries("pend", 2, 50);
-    EXPECT_EQ(s.findTimeSeries("pend"), &ts);
-    EXPECT_EQ(s.findTimeSeries("nope"), nullptr);
-    EXPECT_EQ(&s.timeSeries("pend", 2, 50), &ts);
-
+    TimeSeries ts("pend", 2, 50);
     ts.record(0, {1, 2});
     ts.record(50, {3, 4});
-    ASSERT_EQ(s.timeSeriesAll().size(), 1u);
-    EXPECT_NE(s.dump().find("pend 2 50 2"), std::string::npos);
-
     std::string j = ts.json();
     EXPECT_EQ(j.front(), '{');
     EXPECT_NE(j.find("\"pend\""), std::string::npos);
+    EXPECT_NE(j.find("\"width\":2"), std::string::npos);
+    EXPECT_NE(j.find("\"interval\":50"), std::string::npos);
+    EXPECT_NE(j.find("\"times\":[0,50]"), std::string::npos);
     EXPECT_NE(j.find("[3,4]"), std::string::npos);
-
-    s.reset();
-    EXPECT_EQ(ts.rows(), 0u);
 }
 
 /** A component that counts its steps and reports activity. */

@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "campaign/jsonin.hh"
 #include "harness/experiment.hh"
+#include "sim/config.hh"
 #include "sim/json.hh"
 #include "sim/report.hh"
 #include "sim/stats.hh"
+#include "traffic/collective.hh"
 #include "traffic/synthetic.hh"
 
 namespace nifdy
@@ -203,6 +207,114 @@ TEST(Telemetry, MetricsSnapshotsAreJsonl)
     EXPECT_LE(lines, 30u);
 }
 
+/** The last line of a metrics JSONL file, parsed. */
+JsonValue
+lastSnapshot(const std::string &path)
+{
+    std::istringstream in(slurp(path));
+    std::string line;
+    std::string last;
+    while (std::getline(in, line))
+        last = line;
+    std::string err;
+    JsonValue v = parseJson(last, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    return v;
+}
+
+TEST(Telemetry, MetricsPathIsUniquifiedPerExperiment)
+{
+    // Two experiments of one process given the same metrics.path
+    // each keep their own file, as two traced experiments do.
+    const std::string path =
+        ::testing::TempDir() + "nifdy_metrics_twice.jsonl";
+    const std::string second =
+        ::testing::TempDir() + "nifdy_metrics_twice.2.jsonl";
+    std::remove(path.c_str());
+    std::remove(second.c_str());
+    for (Cycle cycles : {Cycle(1500), Cycle(2500)}) {
+        ExperimentConfig cfg;
+        cfg.topology = "mesh2d";
+        cfg.numNodes = 16;
+        cfg.metrics.path = path;
+        Experiment exp(cfg);
+        exp.runFor(cycles);
+    }
+    EXPECT_EQ(lastSnapshot(path).getString("cycle"), "1500");
+    EXPECT_EQ(lastSnapshot(second).getString("cycle"), "2500");
+}
+
+TEST(Telemetry, GaugesReportAndStatsTableAgree)
+{
+    // Every counter family live: lossy NICs under fabric drops and
+    // corruption, a crash and restart, NIC collectives, anatomy and
+    // the congestion observatory.
+    Config conf;
+    conf.set("nodes", 16L);
+    conf.set("nic", std::string("lossy"));
+    conf.set("fault.dropProb", 0.01);
+    conf.set("fault.corruptProb", 0.005);
+    conf.set("node.crash", std::string("5@4000+3000"));
+    conf.set("coll.offload", std::string("nic"));
+    conf.set("lossy.maxRetries", 8L);
+    conf.set("anatomy.enabled", true);
+    conf.set("congestion.enabled", true);
+    conf.set("metrics.path",
+             ::testing::TempDir() + "nifdy_metrics_agree.jsonl");
+    conf.set("metrics.interval", 5000L);
+    const ExperimentConfig cfg = experimentFromConfig(conf);
+    conf.close();
+
+    RunReport rep("test");
+    {
+        Experiment exp(cfg);
+        CollectiveParams cp;
+        cp.dataMsgs = 2;
+        cp.arity = cfg.coll.arity;
+        for (NodeId n = 0; n < exp.numNodes(); ++n)
+            exp.setWorkload(n, std::make_unique<CollectiveWorkload>(
+                                   exp.proc(n), exp.msg(n),
+                                   exp.barrier(), exp.numNodes(), cp,
+                                   cfg.seed));
+        exp.runUntilDone(200000);
+        exp.fillReport(rep);
+    } // the final snapshot is written here
+
+    std::string err;
+    const JsonValue doc = parseJson(rep.json(false), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    const JsonValue *metrics = doc.find("metrics");
+    const JsonValue snapshot = lastSnapshot(cfg.metrics.path);
+    const JsonValue *gauges = snapshot.find("gauges");
+    ASSERT_TRUE(metrics && gauges);
+
+    std::size_t shared = 0;
+    for (const auto &[name, gauge] : gauges->members) {
+        if (const JsonValue *metric = metrics->find(name)) {
+            ++shared;
+            EXPECT_EQ(gauge.asDouble(), metric->asDouble()) << name;
+        }
+    }
+    EXPECT_EQ(shared, 21u);
+    for (const char *name :
+         {"nifdy.acks.sent", "lossy.drops", "coll.degraded",
+          "node.restarts", "congestion.windows"}) {
+        ASSERT_TRUE(gauges->find(name) && metrics->find(name)) << name;
+        EXPECT_GT(metrics->find(name)->asDouble(), 0.0) << name;
+    }
+
+    const std::string sent = metrics->getString("run.packets.sent");
+    const std::string delivered =
+        metrics->getString("run.packets.delivered");
+    EXPECT_EQ(gauges->find("nic.packets.sent")->asDouble(),
+              metrics->find("run.packets.sent")->asDouble());
+    EXPECT_EQ(gauges->find("nic.packets.delivered")->asDouble(),
+              metrics->find("run.packets.delivered")->asDouble());
+    const Table &stats = rep.tables().back();
+    ASSERT_EQ(stats.rowsData().at(1).at(0), "packets sent / delivered");
+    EXPECT_EQ(stats.rowsData().at(1).at(1), sent + " / " + delivered);
+}
+
 TEST(Telemetry, DistributionEmptyIsAllZeros)
 {
     Distribution d("t.empty");
@@ -312,11 +424,6 @@ TEST(Telemetry, TimeSeriesEmissionOrdering)
     // due() stays false until the next interval boundary.
     EXPECT_FALSE(ts.due(999));
     EXPECT_TRUE(ts.due(1000));
-
-    // reset() drops the rows and rearms the clock at zero.
-    ts.reset();
-    EXPECT_EQ(ts.rows(), 0u);
-    EXPECT_TRUE(ts.due(0));
 }
 
 } // namespace
