@@ -90,9 +90,9 @@ main(int argc, char **argv)
     std::string topology = "fattree";
     args.conf.knob("topology", topology, "network topology");
     int phases = 32;
-    args.conf.knob("phases", phases, "collective phases per run");
+    args.conf.knob("phases", phases, "collective phases per run", 1);
     int arity = 4;
-    args.conf.knob("arity", arity, "combining-tree fan-out");
+    args.conf.knob("arity", arity, "combining-tree fan-out", 1);
     int crashNodes = 64;
     args.conf.knob("crashNodes", crashNodes,
                    "machine size of the crash-recovery runs");

@@ -93,17 +93,17 @@ main(int argc, char **argv)
     IncastMix mix;
     IncastParams &hp = mix.heavyParams;
     args.conf.knob("traffic.incast.receiver", hp.receiver,
-                   "the node every sender targets");
+                   "the node every sender targets", 0);
     args.conf.knob("traffic.incast.lo", hp.packetsPerPhaseLo,
-                   "heavy sender packets per phase, lower bound");
+                   "heavy sender packets per phase, lower bound", 1);
     args.conf.knob("traffic.incast.hi", hp.packetsPerPhaseHi,
-                   "heavy sender packets per phase, upper bound");
+                   "heavy sender packets per phase, upper bound", 1);
     mix.heavySenders = 4;
     args.conf.knob("traffic.incast.heavy", mix.heavySenders,
                    "senders that blast full-rate bursts");
     int lightDiv = 25;
     args.conf.knob("traffic.incast.lightdiv", lightDiv,
-                   "light senders send 1/N of the heavy burst");
+                   "light senders send 1/N of the heavy burst", 1);
     args.conf.close();
     mix.lightParams = hp;
     mix.lightParams.packetsPerPhaseLo =

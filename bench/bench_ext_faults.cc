@@ -45,7 +45,7 @@ main(int argc, char **argv)
                    "per-hop corruption probability at every drop rate");
     lossy.retxTimeout = 1500;
     args.conf.knob("timeout", lossy.retxTimeout,
-                   "initial retransmit timeout in cycles");
+                   "initial retransmit timeout in cycles", 1);
     lossy.backoffFactor = 2.0;
     args.conf.knob("backoff", lossy.backoffFactor,
                    "timeout multiplier per retry");
@@ -56,7 +56,7 @@ main(int argc, char **argv)
     args.conf.knob("jitter", lossy.jitterFrac,
                    "retransmit deadline jitter fraction");
     args.conf.knob("retries", lossy.maxRetries,
-                   "declare a peer dead after N retries (0 = never)");
+                   "declare a peer dead after N retries (0 = never)", 0);
     args.conf.close();
 
     Table t("Robustness extension: heavy synthetic traffic on " +

@@ -21,7 +21,8 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 120000, 16);
     Cycle timeout = 3000;
-    args.conf.knob("timeout", timeout, "retransmit timeout in cycles");
+    args.conf.knob("timeout", timeout, "retransmit timeout in cycles",
+                   1);
     args.conf.close();
 
     Table t("Extension (Section 6.2): heavy synthetic traffic on the "

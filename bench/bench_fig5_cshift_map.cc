@@ -102,14 +102,11 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int words = 120;
-    args.conf.knob("words", words, "cshift payload words per pair");
+    args.conf.knob("words", words, "cshift payload words per pair", 1);
     Cycle interval = 10000;
     args.conf.knob("interval", interval,
-                   "cycles between pending-packet samples");
+                   "cycles between pending-packet samples", 1);
     args.conf.close();
-    fatal_if(interval == 0,
-             "interval=0: the pending-packet sample interval must be "
-             "positive");
 
     MapResult none = runMap(NicKind::none, "cshift.pending.none",
                             args.nodes, words, interval, args.seed);

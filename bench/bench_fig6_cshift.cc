@@ -68,7 +68,7 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int words = 120;
-    args.conf.knob("words", words, "cshift payload words per pair");
+    args.conf.knob("words", words, "cshift payload words per pair", 1);
     args.conf.close();
 
     struct Row

@@ -61,7 +61,7 @@ runEm3dFigure(int argc, char **argv, const Em3dParams &params,
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int iters = 3;
-    args.conf.knob("iters", iters, "EM3D iterations per run");
+    args.conf.knob("iters", iters, "EM3D iterations per run", 1);
     args.conf.close();
 
     Table t(title);

@@ -91,12 +91,12 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int buckets = 256;
-    args.conf.knob("buckets", buckets, "scan-phase buckets per node");
+    args.conf.knob("buckets", buckets, "scan-phase buckets per node", 1);
     int delay = 60;
     args.conf.knob("delay", delay,
                    "idle cycles between sends in the delayed scan");
     int keys = 256;
-    args.conf.knob("keys", keys, "coalesce-phase keys per node");
+    args.conf.knob("keys", keys, "coalesce-phase keys per node", 1);
     args.conf.close();
 
     const std::vector<std::string> trees{"fattree", "cm5",

@@ -103,7 +103,7 @@ main(int argc, char **argv)
     setQuiet(true);
     BenchArgs args(argc, argv, 0);
     int bytes = 32;
-    args.conf.knob("packet", bytes, "probe packet size in bytes");
+    args.conf.knob("packet", bytes, "probe packet size in bytes", 1);
     args.conf.close();
 
     Table t("Table 3: simulated " + std::to_string(args.nodes) +

@@ -71,7 +71,8 @@ struct BenchArgs
                       "write the run report as JSON here"))
             conf.set("json", jsonPath);
         if (defCycles > 0)
-            conf.knob("cycles", cycles, "measurement window in cycles");
+            conf.knob("cycles", cycles, "measurement window in cycles",
+                      1);
         conf.knob("nodes", nodes, "machine size");
         conf.knob("seed", seed, "RNG seed");
         conf.knob("csv", csv, "additionally emit CSV rows");

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     base.msg.packetWords = 6;
     ExperimentConfig cfg = experimentFromConfig(conf, base);
     CShiftParams cp;
-    conf.knob("words", cp.wordsPerPair, "payload words per pair");
+    conf.knob("words", cp.wordsPerPair, "payload words per pair", 1);
     conf.knob("barriers", cp.barriers, "barrier between shift steps");
     conf.close();
     Experiment exp(cfg);

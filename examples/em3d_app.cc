@@ -59,9 +59,9 @@ main(int argc, char **argv)
     std::string topo = "fattree";
     conf.knob("topology", topo, "network topology");
     int nodes = 64;
-    conf.knob("nodes", nodes, "number of processors");
+    conf.knob("nodes", nodes, "number of processors", 2);
     int iters = 3;
-    conf.knob("iters", iters, "EM3D iterations per NIC kind");
+    conf.knob("iters", iters, "EM3D iterations per NIC kind", 1);
     std::uint64_t seed = 1;
     conf.knob("seed", seed, "graph and experiment RNG seed");
     bool heavy = false;

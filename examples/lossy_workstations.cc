@@ -31,7 +31,7 @@ main(int argc, char **argv)
     conf.knob("drop", lcfg.dropProb, "receiver-side drop probability");
     lcfg.retxTimeout = 3000;
     conf.knob("timeout", lcfg.retxTimeout,
-              "retransmit timeout in cycles");
+              "retransmit timeout in cycles", 1);
     int packets = 40;
     conf.knob("packets", packets, "packets in the bulk transfer");
     int nodes = 16;

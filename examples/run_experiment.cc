@@ -59,10 +59,10 @@ main(int argc, char **argv)
               "not finish (0 = off)");
     CShiftParams shift;
     conf.knob("words", shift.wordsPerPair,
-              "cshift payload words per pair");
+              "cshift payload words per pair", 1);
     CollectiveParams coll;
     conf.knob("phases", coll.phases,
-              "collective phases (barrier/bcast/reduce rotation)");
+              "collective phases (barrier/bcast/reduce rotation)", 1);
     conf.knob("collData", coll.dataMsgs,
               "data messages per collective phase per node");
     bool csv = false;

@@ -20,13 +20,22 @@ Channel::classRate(NetClass cls) const
                               : params_.cyclesPerFlit;
 }
 
-NIFDY_HOT bool
-Channel::canPush(NetClass cls, Cycle now) const
+void
+Channel::watchFlits(std::uint64_t *mask, int bit)
 {
-    if (downAt(now))
-        return false;
-    int slot = params_.timeSliced ? static_cast<int>(cls) : 0;
-    return nextFree_[slot] <= now;
+    flitMask_ = mask;
+    flitBit_ = std::uint64_t{1} << bit;
+    if (!flits_.empty())
+        *flitMask_ |= flitBit_;
+}
+
+void
+Channel::watchCredits(std::uint64_t *mask, int bit)
+{
+    creditMask_ = mask;
+    creditBit_ = std::uint64_t{1} << bit;
+    if (!credits_.empty())
+        *creditMask_ |= creditBit_;
 }
 
 void
@@ -39,15 +48,6 @@ Channel::addDownWindow(Cycle from, Cycle until)
     down_.push_back({from, until});
 }
 
-bool
-Channel::downAt(Cycle now) const
-{
-    for (const DownWindow &w : down_)
-        if (now >= w.from && (w.until == 0 || now < w.until))
-            return true;
-    return false;
-}
-
 NIFDY_HOT void
 Channel::push(const Flit &flit, Cycle now)
 {
@@ -58,6 +58,8 @@ Channel::push(const Flit &flit, Cycle now)
     nextFree_[slot] = now + classRate(cls);
     Cycle arrival = now + classRate(cls) + params_.latency;
     flits_.push_back({arrival, flit}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
+    if (flitMask_)
+        *flitMask_ |= flitBit_;
     ++totalFlits_;
     ++classFlits_[static_cast<int>(cls)];
     panic_if(capacityFlits_ > 0 && inFlight() > capacityFlits_,
@@ -67,18 +69,14 @@ Channel::push(const Flit &flit, Cycle now)
              flit.pkt->toString().c_str());
 }
 
-NIFDY_HOT bool
-Channel::hasFlit(Cycle now) const
-{
-    return !flits_.empty() && flits_.front().first <= now;
-}
-
 NIFDY_HOT Flit
 Channel::pop(Cycle now)
 {
     panic_if(!hasFlit(now), "pop on empty channel");
     Flit f = flits_.front().second;
     flits_.pop_front();
+    if (flitMask_ && flits_.empty())
+        *flitMask_ &= ~flitBit_;
     return f;
 }
 
@@ -86,12 +84,8 @@ NIFDY_HOT void
 Channel::pushCredit(int vc, Cycle now)
 {
     credits_.push_back({now + 1, vc}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
-}
-
-NIFDY_HOT bool
-Channel::hasCredit(Cycle now) const
-{
-    return !credits_.empty() && credits_.front().first <= now;
+    if (creditMask_)
+        *creditMask_ |= creditBit_;
 }
 
 NIFDY_HOT int
@@ -100,6 +94,8 @@ Channel::popCredit(Cycle now)
     panic_if(!hasCredit(now), "popCredit on empty credit queue");
     int vc = credits_.front().second;
     credits_.pop_front();
+    if (creditMask_ && credits_.empty())
+        *creditMask_ &= ~creditBit_;
     return vc;
 }
 

@@ -18,6 +18,7 @@
 #ifndef NIFDY_NET_CHANNEL_HH
 #define NIFDY_NET_CHANNEL_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "net/packet.hh"
@@ -52,7 +53,13 @@ class Channel
     //! @name Sender side
     //! @{
     /** Can a flit of class @p cls start serializing this cycle? */
-    bool canPush(NetClass cls, Cycle now) const;
+    bool canPush(NetClass cls, Cycle now) const
+    {
+        if (downAt(now))
+            return false;
+        int slot = params_.timeSliced ? static_cast<int>(cls) : 0;
+        return nextFree_[slot] <= now;
+    }
     /** Begin transmitting @p flit; requires canPush(). */
     void push(const Flit &flit, Cycle now);
     //! @}
@@ -60,7 +67,10 @@ class Channel
     //! @name Receiver side
     //! @{
     /** Is a fully received flit available at cycle @p now? */
-    bool hasFlit(Cycle now) const;
+    bool hasFlit(Cycle now) const
+    {
+        return !flits_.empty() && flits_.front().first <= now;
+    }
     /** Remove and return the next received flit. */
     Flit pop(Cycle now);
     //! @}
@@ -70,9 +80,25 @@ class Channel
     /** Return one buffer-slot credit for virtual channel @p vc. */
     void pushCredit(int vc, Cycle now);
     /** Is a credit visible at cycle @p now? */
-    bool hasCredit(Cycle now) const;
+    bool hasCredit(Cycle now) const
+    {
+        return !credits_.empty() && credits_.front().first <= now;
+    }
     /** Remove and return the next credit's VC index. */
     int popCredit(Cycle now);
+    //! @}
+
+    //! @name Pending-work bits
+    //! @{
+    /**
+     * Keep bit @p bit of @p *mask set exactly while flits are in
+     * flight on this channel: push() sets it and the pop() that
+     * empties the queue clears it. The consuming router owns the
+     * mask and walks it instead of polling every input port.
+     */
+    void watchFlits(std::uint64_t *mask, int bit);
+    /** The same for queued credits, on the sending router's mask. */
+    void watchCredits(std::uint64_t *mask, int bit);
     //! @}
 
     /** Flits currently in flight (pushed, not yet popped). */
@@ -123,7 +149,13 @@ class Channel
      */
     void addDownWindow(Cycle from, Cycle until);
     /** Is the link inside a down window at cycle @p now? */
-    bool downAt(Cycle now) const;
+    bool downAt(Cycle now) const
+    {
+        for (const DownWindow &w : down_)
+            if (now >= w.from && (w.until == 0 || now < w.until))
+                return true;
+        return false;
+    }
     //! @}
 
   private:
@@ -138,6 +170,11 @@ class Channel
 
     ChannelParams params_;
     std::vector<DownWindow> down_;
+    /** watchFlits()/watchCredits() targets; null when unwatched. */
+    std::uint64_t *flitMask_ = nullptr;
+    std::uint64_t *creditMask_ = nullptr;
+    std::uint64_t flitBit_ = 0;
+    std::uint64_t creditBit_ = 0;
     /** Serializer next-free time; [0] shared or per class. */
     Cycle nextFree_[numNetClasses] = {0, 0};
     Ring<std::pair<Cycle, Flit>> flits_;

@@ -1,5 +1,7 @@
 #include "net/router.hh"
 
+#include <bit>
+
 #include "sim/fault.hh"
 #include "sim/log.hh"
 
@@ -17,16 +19,27 @@ Router::Router(int id, const RouterParams &params)
 int
 Router::addInPort(Channel *ch)
 {
+    int port = static_cast<int>(ins_.size());
+    fatal_if((port + 1) * numVCs_ > maxMaskBits,
+             "router %d: %d input ports x %d VCs = %d input VCs exceed "
+             "the %d-bit pending masks",
+             id_, port + 1, numVCs_, (port + 1) * numVCs_, maxMaskBits);
     InPort p;
     p.ch = ch;
     p.vcs.resize(numVCs_);
     ins_.push_back(std::move(p));
-    return static_cast<int>(ins_.size()) - 1;
+    ch->watchFlits(&flitsPending_, port);
+    return port;
 }
 
 int
 Router::addOutPort(Channel *ch, int depth)
 {
+    int port = static_cast<int>(outs_.size());
+    fatal_if(port + 1 > maxMaskBits,
+             "router %d: %d output ports exceed the %d-bit pending "
+             "masks",
+             id_, port + 1, maxMaskBits);
     OutPort p;
     p.ch = ch;
     p.credits.assign(numVCs_, depth);
@@ -34,7 +47,8 @@ Router::addOutPort(Channel *ch, int depth)
     // The credit discipline bounds what this channel can carry.
     ch->setCapacityFlits(numVCs_ * depth);
     outs_.push_back(std::move(p));
-    return static_cast<int>(outs_.size()) - 1;
+    ch->watchCredits(&creditsPending_, port);
+    return port;
 }
 
 int
@@ -74,7 +88,8 @@ NIFDY_HOT void
 Router::step(Cycle now)
 {
     // Absorb returned credits.
-    for (OutPort &op : outs_) {
+    for (std::uint64_t m = creditsPending_; m; m &= m - 1) {
+        OutPort &op = outs_[std::countr_zero(m)];
         while (op.ch->hasCredit(now)) {
             int vc = op.ch->popCredit(now);
             ++op.credits[vc];
@@ -84,7 +99,9 @@ Router::step(Cycle now)
     }
 
     // Absorb arriving flits into their VC buffers.
-    for (InPort &ip : ins_) {
+    for (std::uint64_t m = flitsPending_; m; m &= m - 1) {
+        int p = std::countr_zero(m);
+        InPort &ip = ins_[p];
         while (ip.ch->hasFlit(now)) {
             Flit f = ip.ch->pop(now);
             if (faults_ && faults_->filterArrival(id_, ip.ch, f, now)) {
@@ -102,6 +119,8 @@ Router::step(Cycle now)
             panic_if(static_cast<int>(vc.buf.size()) >
                          params_.bufDepth,
                      "buffer overflow on router %d vc %d", id_, f.vc);
+            if (vc.buf.size() == 1 && !vc.active && f.head)
+                unrouted_ |= std::uint64_t{1} << inVcId(p, f.vc);
         }
     }
 
@@ -109,13 +128,12 @@ Router::step(Cycle now)
         return;
 
     // Route computation + VC allocation for fresh head flits.
-    for (int p = 0; p < static_cast<int>(ins_.size()); ++p) {
-        for (int v = 0; v < numVCs_; ++v) {
-            VirtChan &vc = ins_[p].vcs[v];
-            if (!vc.active && !vc.buf.empty() &&
-                vc.buf.front().head && !tryAllocate(p, v, now))
-                probes_->arbLoss(*vc.buf.front().pkt, now);
-        }
+    for (std::uint64_t m = unrouted_; m; m &= m - 1) {
+        int ivc = std::countr_zero(m);
+        int p = ivc / numVCs_;
+        int v = ivc - p * numVCs_;
+        if (!tryAllocate(p, v, now))
+            probes_->arbLoss(*ins_[p].vcs[v].buf.front().pkt, now);
     }
 
     switchPass(now);
@@ -194,9 +212,12 @@ Router::tryAllocate(int inPort, int vcIdx, Cycle now)
     vc.active = true;
     vc.outPort = bestPort;
     vc.outVC = bestVC;
+    unrouted_ &= ~(std::uint64_t{1} << inVcId(inPort, vcIdx));
+    requested_ |= std::uint64_t{1} << bestPort;
     outs_[bestPort].owner[bestVC] = inVcId(inPort, vcIdx);
     outs_[bestPort].reqs.push_back( // nifdy:alloc-ok(vector capacity persists at numVCs high-water)
-        inVcId(inPort, vcIdx));
+        {static_cast<std::int16_t>(inPort),
+         static_cast<std::int16_t>(vcIdx)});
     onAllocate(pkt, bestPort, bestVC % params_.vcsPerClass);
     probes_->hop(pkt, id_, now);
     return true;
@@ -207,35 +228,39 @@ Router::switchPass(Cycle now)
 {
     // Input-port crossbar constraint: one departure per input port
     // per cycle.
-    std::vector<char> &inUsed = inUsedScratch_;
-    inUsed.assign(ins_.size(), 0); // nifdy:alloc-ok(member scratch; capacity persists after first cycle)
+    std::uint64_t inUsed = 0;
 
-    for (int op = 0; op < static_cast<int>(outs_.size()); ++op) {
+    for (std::uint64_t m = requested_; m; m &= m - 1) {
+        int op = std::countr_zero(m);
         OutPort &out = outs_[op];
         int nReqs = static_cast<int>(out.reqs.size());
-        if (nReqs == 0)
-            continue;
-        // Round-robin over the input VCs routed to this output.
-        for (int k = 0; k < nReqs; ++k) {
-            int slot = (out.rr + k) % nReqs;
-            int ivc = out.reqs[slot];
-            int p = ivc / numVCs_;
-            int v = ivc % numVCs_;
-            if (inUsed[p])
+        // Round-robin over the input VCs routed to this output,
+        // starting at rr mod nReqs (rr may exceed nReqs by one after
+        // a tail left the list).
+        int slot = out.rr;
+        while (slot >= nReqs)
+            slot -= nReqs;
+        for (int k = 0; k < nReqs;
+             ++k, slot = slot + 1 == nReqs ? 0 : slot + 1) {
+            Req req = out.reqs[slot];
+            std::uint64_t portBit = std::uint64_t{1} << req.port;
+            if (inUsed & portBit)
                 continue;
-            VirtChan &vc = ins_[p].vcs[v];
+            VirtChan &vc = ins_[req.port].vcs[req.vc];
             if (vc.buf.empty())
                 continue;
             if (out.credits[vc.outVC] <= 0) {
                 probes_->linkStall(out.ch, now);
                 continue;
             }
-            Flit &front = vc.buf.front();
-            NetClass cls = front.pkt->netClass;
+            // The output VC's class is the packet's: no Packet load.
+            NetClass cls =
+                static_cast<NetClass>(vc.outVC / params_.vcsPerClass);
             if (!out.ch->canPush(cls, now)) {
                 probes_->linkStall(out.ch, now);
                 continue;
             }
+            Flit &front = vc.buf.front();
             if (params_.storeAndForward && front.head) {
                 // The whole packet must be buffered before the head
                 // may leave.
@@ -260,7 +285,7 @@ Router::switchPass(Cycle now)
             probes_->linkFlit(out.ch, f, now);
             --out.credits[vc.outVC];
             // Return the freed input buffer slot upstream.
-            ins_[p].ch->pushCredit(v, now);
+            ins_[req.port].ch->pushCredit(req.vc, now);
             ++flitsSwitched_;
             if (kernel_)
                 kernel_->noteActivity();
@@ -270,8 +295,15 @@ Router::switchPass(Cycle now)
                 vc.outPort = -1;
                 vc.outVC = -1;
                 out.reqs.erase(out.reqs.begin() + slot);
+                if (out.reqs.empty())
+                    requested_ &= ~(std::uint64_t{1} << op);
+                // The next packet's head, already buffered behind
+                // the tail, is routed next cycle.
+                if (!vc.buf.empty() && vc.buf.front().head)
+                    unrouted_ |= std::uint64_t{1}
+                                 << inVcId(req.port, req.vc);
             }
-            inUsed[p] = 1;
+            inUsed |= portBit;
             out.rr = slot + 1;
             break; // this output port is busy now
         }

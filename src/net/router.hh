@@ -13,6 +13,12 @@
  *
  * The two logical networks (request/reply) are disjoint VC classes:
  * a packet only ever occupies VCs of its own class.
+ *
+ * A step costs work in proportion to what is pending, not to ports
+ * x VCs: 64-bit masks name the input channels holding flits, the
+ * output channels holding credits, the input VCs holding an unrouted
+ * head and the outputs with switch requests, and each phase walks
+ * only the set bits, in ascending order (DESIGN.md section 2.2).
  */
 
 #ifndef NIFDY_NET_ROUTER_HH
@@ -60,17 +66,28 @@ class Router : public Steppable
   public:
     Router(int id, const RouterParams &params);
     ~Router() override = default;
+    /** Attached channels point at this router's pending masks. */
+    Router(const Router &) = delete;
+    Router &operator=(const Router &) = delete;
 
     const char *profileClass() const override { return "router"; }
 
-    /** Attach an incoming channel; returns the input port index. */
+    /**
+     * Attach an incoming channel; returns the input port index.
+     * fatal() past maxMaskBits input VCs (ports x VCs).
+     */
     int addInPort(Channel *ch);
 
     /**
      * Attach an outgoing channel whose consumer has @p depth flit
-     * buffers per VC; returns the output port index.
+     * buffers per VC; returns the output port index. fatal() past
+     * maxMaskBits output ports.
      */
     int addOutPort(Channel *ch, int depth);
+
+    /** Width of the pending-work masks: the most input VCs, and the
+     * most output ports, one router can have. */
+    static constexpr int maxMaskBits = 64;
 
     void step(Cycle now) override;
 
@@ -90,6 +107,11 @@ class Router : public Steppable
 
     /** Flits forwarded through the switch in total. */
     std::uint64_t flitsSwitched() const { return flitsSwitched_; }
+
+    /** Pending-work masks: bit p is set while input port p's channel
+     * holds flits (or output port p's channel holds credits). */
+    std::uint64_t flitsPending() const { return flitsPending_; }
+    std::uint64_t creditsPending() const { return creditsPending_; }
 
     /** Attach the kernel for activity reporting, and its probe bus
      * for observer events. */
@@ -155,16 +177,23 @@ class Router : public Steppable
         std::vector<VirtChan> vcs;
     };
 
+    /** A switch request: input VC @p vc of input port @p port. */
+    struct Req
+    {
+        std::int16_t port;
+        std::int16_t vc;
+    };
+
     struct OutPort
     {
         Channel *ch = nullptr;
         std::vector<int> credits; //!< per downstream VC
         std::vector<int> owner;   //!< per VC: owning input VC id or -1
-        std::vector<int> reqs;    //!< input VCs currently routed here
+        std::vector<Req> reqs;    //!< input VCs routed here, in order
         int rr = 0;               //!< round-robin arbitration pointer
     };
 
-    /** Flat id of (inPort, vc). */
+    /** Flat id of (inPort, vc): its bit in unrouted_. */
     int inVcId(int port, int vc) const { return port * numVCs_ + vc; }
 
     bool tryAllocate(int inPort, int vc, Cycle now);
@@ -181,10 +210,18 @@ class Router : public Steppable
     const Probes *probes_ = &noProbes;
     FaultInjector *faults_ = nullptr;
     std::vector<int> candidateScratch_;
-    /** Per-cycle switch scratch: one departure per input port. A
-     * member (not function-local static) so routers stay re-entrant
-     * and free of hidden mutable state. */
-    std::vector<char> inUsedScratch_;
+
+    //! @name Pending-work masks (bit i = port or flat input VC i)
+    //! @{
+    /** Input ports whose channel holds flits (Channel maintains). */
+    std::uint64_t flitsPending_ = 0;
+    /** Output ports whose channel holds credits (Channel maintains). */
+    std::uint64_t creditsPending_ = 0;
+    /** Input VCs whose front flit is a head not yet allocated. */
+    std::uint64_t unrouted_ = 0;
+    /** Output ports with a non-empty request list. */
+    std::uint64_t requested_ = 0;
+    //! @}
 };
 
 } // namespace nifdy

@@ -71,6 +71,16 @@ class Config
               const std::string &doc) const;
 
     /**
+     * knob() for an integer with a lower bound, such as a count that
+     * cannot run at zero: a given value below @p min is fatal(),
+     * naming the knob, and --help and --list-knobs show the bound
+     * after the doc.
+     */
+    template <typename T>
+    void knob(const std::string &name, T &field, const std::string &doc,
+              std::type_identity_t<T> min) const;
+
+    /**
      * Bind an enumerated knob: @p spellings maps every accepted word
      * to its field value (aliases allowed); the listed default is the
      * first word for the field's current value.
@@ -194,6 +204,24 @@ Config::knob(const std::string &name, T &field,
 {
     if (const std::string *v = bind(name, render(field), doc, false))
         field = parse<T>(name, *v);
+}
+
+template <typename T>
+void
+Config::knob(const std::string &name, T &field, const std::string &doc,
+             std::type_identity_t<T> min) const
+{
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                  "a knob minimum needs an integer field");
+    const std::string bound = ">= " + render(min);
+    const std::string *v =
+        bind(name, render(field), doc + " (" + bound + ")", false);
+    if (!v)
+        return;
+    T value = parse<T>(name, *v);
+    if (value < min)
+        reject(name, *v, "an integer " + bound);
+    field = value;
 }
 
 template <typename T>

@@ -6,10 +6,13 @@
  */
 
 #include <deque>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "net/router.hh"
+#include "netharness.hh"
+#include "sim/fault.hh"
 #include "sim/kernel.hh"
 
 namespace nifdy
@@ -23,12 +26,21 @@ class TestRouter : public Router
   public:
     using Router::Router;
 
+    /** Packets in the order their heads won an output VC. */
+    std::vector<const Packet *> allocated;
+
   protected:
     bool
     route(int, Packet &pkt, std::vector<int> &cands) override
     {
         cands.push_back(pkt.dst % std::max(1, numOutPorts()));
         return false;
+    }
+
+    void
+    onAllocate(Packet &pkt, int, int) override
+    {
+        allocated.push_back(&pkt);
     }
 };
 
@@ -330,6 +342,84 @@ TEST_F(RouterTest, CreditsAvailablePerClass)
     build(1, 1, rp);
     EXPECT_EQ(router->creditsAvailable(0, NetClass::request), 4);
     EXPECT_EQ(router->creditsAvailable(0, NetClass::reply), 4);
+}
+
+TEST_F(RouterTest, HeadBehindDepartingTailIsRoutedNextCycle)
+{
+    // Two packets queue back to back in one VC while the output link
+    // is down. When it comes up, the first packet's tail leaves with
+    // the second's head already buffered behind it: no flit arrives
+    // to mark that head unrouted, so the departing tail must.
+    RouterParams rp;
+    rp.bufDepth = 4;
+    build(1, 1, rp);
+    outs[0]->addDownWindow(0, 10);
+    Packet *a = pool.alloc();
+    Packet *b = pool.alloc();
+    a->dst = b->dst = 0;
+    a->sizeBytes = 8;
+    b->sizeBytes = 4;
+    queuePacket(a, 0, 2);
+    queuePacket(b, 0, 1);
+    Cycle tailLeft = 0;
+    Cycle secondRouted = 0;
+    while (now < 40 && secondRouted == 0) {
+        pump(1);
+        if (tailLeft == 0 && outs[0]->totalFlits() == 2)
+            tailLeft = now - 1;
+        if (router->allocated.size() == 2)
+            secondRouted = now - 1;
+    }
+    ASSERT_EQ(router->allocated.size(), 2u);
+    EXPECT_EQ(router->allocated[1], b);
+    EXPECT_GE(tailLeft, 10u);
+    EXPECT_EQ(secondRouted, tailLeft + 1);
+    pump(20);
+    ASSERT_EQ(got[0].size(), 3u);
+    EXPECT_EQ(got[0][2].pkt, b);
+    pool.release(a);
+    pool.release(b);
+}
+
+TEST_F(RouterTest, MasksCoverExactly64InputVCs)
+{
+    RouterParams rp;
+    rp.vcsPerClass = 4; // 8 VCs per input port
+    build(Router::maxMaskBits / 8, 1, rp);
+    EXPECT_EQ(router->numInPorts() * router->numVCs(), 64);
+    Channel extra{ChannelParams()};
+    EXPECT_THROW(router->addInPort(&extra), std::runtime_error);
+    for (int i = 1; i < Router::maxMaskBits; ++i) {
+        outs.push_back(std::make_unique<Channel>(ChannelParams()));
+        router->addOutPort(outs.back().get(), rp.bufDepth);
+    }
+    EXPECT_EQ(router->numOutPorts(), 64);
+    EXPECT_THROW(router->addOutPort(&extra, rp.bufDepth),
+                 std::runtime_error);
+}
+
+TEST(RouterMasks, SwallowedFlitsLeaveNoPendingBits)
+{
+    // Every packet dies at its first router-to-router hop: the
+    // injector swallows flits the router already popped, and the
+    // drained fabric must show no pending flit or credit anywhere.
+    NetworkParams np;
+    np.numNodes = 16;
+    NetHarness h("fattree", np);
+    FaultPlan plan;
+    plan.dropProb = 1.0;
+    FaultInjector faults(plan, 1, h.pool);
+    faults.attachNetwork(*h.net);
+    for (NodeId src = 0; src < 16; ++src)
+        h.send(src, (src + 5) % 16, 64);
+    h.runUntilQuiet(20000);
+    h.run(10);
+    EXPECT_EQ(faults.packetsDroppedInFabric(), 16u);
+    for (int r = 0; r < h.net->numRouters(); ++r) {
+        EXPECT_EQ(h.net->router(r).flitsPending(), 0u) << "router " << r;
+        EXPECT_EQ(h.net->router(r).creditsPending(), 0u)
+            << "router " << r;
+    }
 }
 
 } // namespace

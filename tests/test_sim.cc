@@ -165,6 +165,24 @@ TEST(Config, Fallbacks)
                             "d\t1.5\ta double\n");
 }
 
+TEST(Config, KnobMinimumIsFatalAndListed)
+{
+    Config c;
+    c.set("phases", 0L);
+    int phases = 32;
+    EXPECT_THROW(c.knob("phases", phases, "phases per run", 1),
+                 std::runtime_error);
+    EXPECT_EQ(phases, 32);
+    EXPECT_EQ(c.knobList(), "phases\t32\tphases per run (>= 1)\n");
+    EXPECT_NE(c.help().find("phases=32"), std::string::npos);
+    EXPECT_NE(c.help().find("phases per run (>= 1)"), std::string::npos);
+
+    Config at;
+    at.set("phases", 1L);
+    at.knob("phases", phases, "phases per run", 1);
+    EXPECT_EQ(phases, 1);
+}
+
 TEST(Config, MissingKeyFatal)
 {
     // A key that no binding reads fails the closing call.
