@@ -18,6 +18,8 @@
  *       topology=fattree arity=4 crashNodes=64 csv=false help=false
  */
 
+#include <stdexcept>
+
 #include "benchutil.hh"
 #include "sim/fault.hh"
 #include "traffic/collective.hh"
@@ -35,10 +37,9 @@ struct CollRun
     std::uint64_t completedPhases = 0;
 };
 
-CollRun
-runCollectives(const std::string &topology, int nodes, int arity,
-               bool offload, int phases, std::uint64_t seed,
-               const std::vector<NodeFault> &crashes)
+ExperimentConfig
+collConfig(const std::string &topology, int nodes, int arity, bool offload,
+           std::uint64_t seed, const std::vector<NodeFault> &crashes)
 {
     ExperimentConfig cfg;
     cfg.topology = topology;
@@ -57,7 +58,16 @@ runCollectives(const std::string &topology, int nodes, int arity,
         cfg.coll.maxProbes = 3;
         cfg.nodeFault.crashes = crashes;
     }
-    Experiment exp(cfg);
+    return cfg;
+}
+
+CollRun
+runCollectives(const std::string &topology, int nodes, int arity,
+               bool offload, int phases, std::uint64_t seed,
+               const std::vector<NodeFault> &crashes)
+{
+    Experiment exp(
+        collConfig(topology, nodes, arity, offload, seed, crashes));
     CollectiveParams cp;
     cp.phases = phases;
     cp.rotateOps = !crashes.empty(); // latency sweep: all barriers
@@ -98,6 +108,35 @@ main(int argc, char **argv)
                    "machine size of the crash-recovery runs");
     args.conf.close();
 
+    struct FaultPoint
+    {
+        const char *name;
+        std::vector<NodeFault> crashes;
+    };
+    NodeFault permanent;
+    permanent.node = 2;
+    permanent.crashAt = 2000;
+    NodeFault bounce;
+    bounce.node = 5;
+    bounce.crashAt = 2000;
+    bounce.restartAt = 5000;
+    const FaultPoint points[] = {
+        {"none", {}},
+        {"1 fail-stop", {permanent}},
+        {"1 crash+restart", {bounce}},
+        {"fail-stop + bounce", {permanent, bounce}},
+    };
+    // Build the crash-recovery machine once before the sweep, so a
+    // crashNodes the topology or the crash schedule cannot take is
+    // rejected before the first table prints.
+    try {
+        Experiment check(collConfig(topology, crashNodes, arity, true,
+                                    args.seed, {permanent, bounce}));
+    } catch (const std::runtime_error &) {
+        fatal("crashNodes=%d: no %s crash-recovery machine of that size",
+              crashNodes, topology.c_str());
+    }
+
     Table t("Barrier latency scaling on " + topology +
             ": software message tree vs NIC combining tree (arity " +
             std::to_string(arity) + ", " + std::to_string(phases) +
@@ -136,24 +175,6 @@ main(int argc, char **argv)
             " mixed phases (barrier/bcast/reduce)");
     c.header({"fault", "survivor phases", "retx", "probes", "pruned",
               "degraded"});
-    struct FaultPoint
-    {
-        const char *name;
-        std::vector<NodeFault> crashes;
-    };
-    NodeFault permanent;
-    permanent.node = 2;
-    permanent.crashAt = 2000;
-    NodeFault bounce;
-    bounce.node = 5;
-    bounce.crashAt = 2000;
-    bounce.restartAt = 5000;
-    const FaultPoint points[] = {
-        {"none", {}},
-        {"1 fail-stop", {permanent}},
-        {"1 crash+restart", {bounce}},
-        {"fail-stop + bounce", {permanent, bounce}},
-    };
     for (const FaultPoint &pt : points) {
         CollRun r = runCollectives(topology, crashNodes, arity, true,
                                    phases, args.seed, pt.crashes);

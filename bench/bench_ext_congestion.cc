@@ -6,7 +6,7 @@
  * the bench exists to exercise it -- and each configuration's
  * per-link stall map, flow progress, and victim/aggressor episodes
  * land in the report under "congestion.<tag>.*" names for
- * tools/analyze_congestion.py.
+ * `tools/analyze.py congestion`.
  *
  * The sender mix is deliberately asymmetric: the first
  * traffic.incast.heavy non-receiver nodes blast full-rate bursts
@@ -105,6 +105,9 @@ main(int argc, char **argv)
     args.conf.knob("traffic.incast.lightdiv", lightDiv,
                    "light senders send 1/N of the heavy burst", 1);
     args.conf.close();
+    fatal_if(hp.packetsPerPhaseHi < hp.packetsPerPhaseLo,
+             "traffic.incast.hi %d is below traffic.incast.lo %d",
+             hp.packetsPerPhaseHi, hp.packetsPerPhaseLo);
     mix.lightParams = hp;
     mix.lightParams.packetsPerPhaseLo =
         std::max(1, hp.packetsPerPhaseLo / lightDiv);

@@ -17,13 +17,13 @@
  * packet's latency to stall causes per fault rate: the retx-backoff
  * and epoch-recovery shares grow with the drop probability while
  * conservation still holds exactly (audited; see
- * tools/analyze_latency.py --check-conservation).
+ * `tools/analyze.py latency --check-conservation`).
  *
  * `--congestion` (or congestion.enabled=true) records the per-link
  * stall map and flow-progress attribution per fault rate under
  * "congestion.fault<N>.*"; its busy/idle/stalled tiling holds
  * exactly even while the fabric drops packets (see
- * tools/analyze_congestion.py --check-conservation).
+ * `tools/analyze.py congestion --check-conservation`).
  */
 
 #include "benchutil.hh"

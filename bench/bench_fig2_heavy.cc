@@ -16,13 +16,13 @@
  * every sampled packet's latency to stall causes and emits one
  * blame table per topology/NIC pair plus "anatomy.<topo>.<nic>.*"
  * report metrics; feed the `--json` report through
- * tools/analyze_latency.py for the blame breakdown, the
+ * `tools/analyze.py latency` for the blame breakdown, the
  * NIFDY-vs-plain delta, and the conservation check.
  *
  * `--congestion` (or congestion.enabled=true) likewise records one
  * per-link stall map plus "congestion.<topo>.<nic>.*" report
  * metrics per pair; feed the `--json` report through
- * tools/analyze_congestion.py for the hotspot heatmap and its
+ * `tools/analyze.py congestion` for the hotspot heatmap and its
  * conservation check.
  */
 

@@ -23,8 +23,10 @@
  * the normal report metrics; wall times and rates are host facts and
  * go in the nondeterministic "profile" section (see DESIGN.md
  * section 12). `--json BENCH_kernel.json` writes the committed
- * baseline; the CI perf-smoke job regenerates it and gates large
- * regressions with tools/analyze_profile.py --gate.
+ * baseline. CI checks its deterministic counts against a fresh run
+ * (release job), and the perf-smoke job gates large throughput
+ * regressions against its rates with
+ * `tools/analyze.py profile --gate`.
  *
  * Usage: bench_kernel [cycles=N] [grid=idle,fig2heavy,...]
  *                     [seed=N] [--json PATH]

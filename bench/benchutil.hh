@@ -145,7 +145,7 @@ struct BenchArgs
 /**
  * Record an experiment's latency-anatomy results (when enabled) into
  * a bench report under "anatomy.<tag>." metric names, and emit the
- * blame table. tools/analyze_latency.py consumes the metrics; the
+ * blame table. `tools/analyze.py latency` consumes the metrics; the
  * `--anatomy` bench flag turns the sink on.
  */
 inline void
@@ -163,7 +163,7 @@ recordAnatomy(Experiment &exp, BenchArgs &args,
  * Record an experiment's congestion-observatory results (when
  * enabled) into a bench report under "congestion.<tag>." metric
  * names and "congestion[<tag>]: ..." table titles, and emit the
- * link stall map. tools/analyze_congestion.py consumes both; the
+ * link stall map. `tools/analyze.py congestion` consumes both; the
  * `--congestion` bench flag turns the observer on.
  */
 inline void
@@ -187,7 +187,7 @@ recordCongestion(Experiment &exp, BenchArgs &args,
  * bench report: the deterministic step/idle counters under
  * "profile.<tag>." metric names, the host-time figures under
  * "host.<tag>." names in the nondeterministic profile section.
- * tools/analyze_profile.py consumes both.
+ * `tools/analyze.py profile` consumes both.
  */
 inline void
 recordProfile(Experiment &exp, BenchArgs &args,

@@ -62,15 +62,15 @@ collOpName(CollOp op)
 void
 CollConfig::validate() const
 {
-    panic_if(arity < 1, "coll.arity must be >= 1 (got %d)", arity);
-    panic_if(timeout < 1, "coll.timeout must be >= 1");
-    panic_if(backoffFactor < 1.0,
+    fatal_if(arity < 1, "coll.arity must be >= 1 (got %d)", arity);
+    fatal_if(timeout < 1, "coll.timeout must be >= 1");
+    fatal_if(backoffFactor < 1.0,
              "coll.backoffFactor must be >= 1 (got %f)", backoffFactor);
-    panic_if(jitterFrac < 0.0 || jitterFrac >= 1.0,
+    fatal_if(jitterFrac < 0.0 || jitterFrac >= 1.0,
              "coll.jitterFrac must be in [0, 1) (got %f)", jitterFrac);
-    panic_if(maxRetries < 1, "coll.maxRetries must be >= 1");
-    panic_if(probeTimeout < 1, "coll.probeTimeout must be >= 1");
-    panic_if(maxProbes < 1, "coll.maxProbes must be >= 1");
+    fatal_if(maxRetries < 1, "coll.maxRetries must be >= 1");
+    fatal_if(probeTimeout < 1, "coll.probeTimeout must be >= 1");
+    fatal_if(maxProbes < 1, "coll.maxProbes must be >= 1");
 }
 
 Cycle

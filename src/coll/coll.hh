@@ -104,7 +104,7 @@ struct CollConfig
     /** Retransmission-jitter RNG seed; 0 = experiment seed. */
     std::uint64_t seed = 0;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 
     /** Backoff ceiling with the 0 = 16x default applied. */

@@ -163,27 +163,36 @@ NifdyNic::transitIdle() const
 bool
 NifdyNic::eligibleScalar(const PoolEntry &e, std::size_t idx) const
 {
+    return !admissionBlock(e, idx);
+}
+
+std::optional<StallCause>
+NifdyNic::admissionBlock(const PoolEntry &e, std::size_t idx) const
+{
     const Packet &pkt = *e.pkt;
     // Section 6.1: no-ack packets bypass the protocol entirely.
     if (pkt.noAck)
-        return true;
+        return std::nullopt;
     // Per-destination FIFO order: only the oldest queued packet for
     // this destination may go (the rank/eligibility unit).
     for (std::size_t j = 0; j < idx; ++j)
         if (sendPool_[j].pkt->dst == pkt.dst)
-            return false;
+            return StallCause::ackWait;
     if (out_.active && pkt.dst == out_.peer) {
-        if (pkt.netClass != out_.cls)
-            return false; // keep the dialog's ordering domain clean
-        if (out_.exitSent || out_.closePending)
-            return false; // dialog draining; wait for close
-        return out_.unacked() < out_.window;
+        // Bulk dialog: another class would break the dialog's ordering
+        // domain, and a draining dialog waits for its close.
+        if (pkt.netClass != out_.cls || out_.exitSent ||
+            out_.closePending || out_.unacked() >= out_.window)
+            return StallCause::windowClosed;
+        return std::nullopt;
     }
     // Scalar: one outstanding packet per destination, bounded by O.
     for (NodeId d : opt_)
         if (d == pkt.dst)
-            return false;
-    return static_cast<int>(opt_.size()) < cfg_.opt;
+            return StallCause::optSlot;
+    if (static_cast<int>(opt_.size()) >= cfg_.opt)
+        return StallCause::optCap;
+    return std::nullopt;
 }
 
 Packet *
@@ -912,37 +921,12 @@ NifdyNic::classifyStalls(Cycle now)
 {
     for (std::size_t i = 0; i < sendPool_.size(); ++i) {
         const PoolEntry &e = sendPool_[i];
-        probes_->stall(*e.pkt, poolStallCause(e, i), now);
+        // An admissible packet waits only on injection bandwidth
+        // (credits / class RR).
+        std::optional<StallCause> block = admissionBlock(e, i);
+        probes_->stall(*e.pkt, block ? *block : injectCause(*e.pkt),
+                       now);
     }
-}
-
-StallCause
-NifdyNic::poolStallCause(const PoolEntry &e, std::size_t idx) const
-{
-    // Branch-for-branch mirror of eligibleScalar(): the first test
-    // that fails is the mechanism to blame. An eligible packet is
-    // waiting only on injection bandwidth (credits / class RR).
-    const Packet &pkt = *e.pkt;
-    if (pkt.noAck)
-        return injectCause(pkt);
-    for (std::size_t j = 0; j < idx; ++j)
-        if (sendPool_[j].pkt->dst == pkt.dst)
-            return StallCause::ackWait;
-    if (out_.active && pkt.dst == out_.peer) {
-        if (pkt.netClass != out_.cls)
-            return StallCause::windowClosed;
-        if (out_.exitSent || out_.closePending)
-            return StallCause::windowClosed;
-        return out_.unacked() < out_.window
-                   ? injectCause(pkt)
-                   : StallCause::windowClosed;
-    }
-    for (NodeId d : opt_)
-        if (d == pkt.dst)
-            return StallCause::optSlot;
-    return static_cast<int>(opt_.size()) < cfg_.opt
-               ? injectCause(pkt)
-               : StallCause::optCap;
 }
 
 StallCause

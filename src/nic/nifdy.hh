@@ -27,6 +27,7 @@
 #define NIFDY_NIC_NIFDY_HH
 
 #include <map>
+#include <optional>
 
 #include "nic/nic.hh"
 #include "sim/ring.hh"
@@ -320,7 +321,8 @@ class NifdyNic : public Nic
     };
 
     /**
-     * Rank/eligibility test for a queued scalar packet (virtual so
+     * Rank/eligibility test for a queued scalar packet: true when
+     * admissionBlock() finds nothing holding it back (virtual so
      * fault-injection tests can break the admission discipline and
      * prove the audit layer catches it).
      */
@@ -328,14 +330,19 @@ class NifdyNic : public Nic
                                 std::size_t idx) const;
 
     /**
-     * Latency anatomy: attribute every pooled packet to the branch
-     * of eligibleScalar() that is holding it back this cycle. Must
-     * mirror that function's decision order exactly, or blame goes
-     * to the wrong protocol mechanism.
+     * The admission rule: the cause of the first test that holds a
+     * pooled packet back this cycle (ack wait, OPT slot, OPT cap,
+     * closed bulk window), or nullopt when the packet is admissible.
+     */
+    std::optional<StallCause> admissionBlock(const PoolEntry &e,
+                                             std::size_t idx) const;
+
+    /**
+     * Latency anatomy: charge every pooled packet to its
+     * admissionBlock() cause; an admissible packet waits only on
+     * injection (injectCause()).
      */
     void classifyStalls(Cycle now) override;
-    StallCause poolStallCause(const PoolEntry &e,
-                              std::size_t idx) const;
     /** injectStall, unless the slot is held by a priority
      * collective packet: then collDefer. */
     StallCause injectCause(const Packet &pkt) const;

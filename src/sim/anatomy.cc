@@ -80,7 +80,7 @@ class AnatomyConservationChecker : public InvariantChecker
 void
 AnatomyConfig::validate() const
 {
-    panic_if(sampleRate < 0.0 || sampleRate > 1.0,
+    fatal_if(sampleRate < 0.0 || sampleRate > 1.0,
              "anatomy.sampleRate %f out of [0, 1]", sampleRate);
 }
 

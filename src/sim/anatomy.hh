@@ -12,7 +12,7 @@
  * sum to the end-to-end latency *exactly* -- the conservation
  * invariant checked per packet on completion (panic on violation)
  * and in aggregate by the audit layer's latency-anatomy checker and
- * by tools/analyze_latency.py --check-conservation in CI.
+ * by `tools/analyze.py latency --check-conservation` in CI.
  *
  * Cost model: the Anatomy is a probe-bus sink (sim/probes.hh), so
  * while none is attached (anatomy.enabled defaults to off) each event
@@ -24,10 +24,10 @@
  *
  * Attribution points (see DESIGN.md section 8 for the taxonomy):
  *  - the NICs classify every queued-but-not-injected data packet
- *    once per cycle (Nic::classifyStalls): NIFDY mirrors its
- *    admission predicate (ack wait / OPT slot / OPT cap / closed
- *    bulk window / injection backpressure), the plain NICs charge
- *    the whole FIFO to injection backpressure;
+ *    once per cycle (Nic::classifyStalls): NIFDY charges the cause
+ *    its admission rule returns (ack wait / OPT slot / OPT cap /
+ *    closed bulk window, else injection backpressure), the plain
+ *    NICs charge the whole FIFO to injection backpressure;
  *  - the router charges head-of-VC allocation failures to
  *    arbitration loss and successful hops back to wire transit
  *    (post-allocation switch residency and serialization stay
@@ -128,7 +128,7 @@ struct AnatomyConfig
     /** Sampling hash seed; 0 = inherit the experiment seed. */
     std::uint64_t seed = 0;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 };
 

@@ -74,15 +74,15 @@ class CongestionConservationChecker : public InvariantChecker
 void
 CongestionConfig::validate() const
 {
-    panic_if(window < 1, "congestion.window must be >= 1");
-    panic_if(offFrac <= 0.0 || offFrac > 1.0,
+    fatal_if(window < 1, "congestion.window must be >= 1");
+    fatal_if(offFrac <= 0.0 || offFrac > 1.0,
              "congestion.offFrac %f out of (0, 1]", offFrac);
-    panic_if(onFrac < offFrac || onFrac > 1.0,
+    fatal_if(onFrac < offFrac || onFrac > 1.0,
              "congestion.onFrac %f out of [offFrac, 1]", onFrac);
-    panic_if(aggressorShare <= 0.0 || aggressorShare > 1.0,
+    fatal_if(aggressorShare <= 0.0 || aggressorShare > 1.0,
              "congestion.aggressorShare %f out of (0, 1]",
              aggressorShare);
-    panic_if(victimSlowdown < 1.0,
+    fatal_if(victimSlowdown < 1.0,
              "congestion.victimSlowdown %f must be >= 1",
              victimSlowdown);
 }

@@ -80,7 +80,7 @@ struct CongestionConfig
     /** Victim threshold: mean latency over isolation baseline. */
     double victimSlowdown = 2.0;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 };
 

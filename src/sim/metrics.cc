@@ -16,7 +16,7 @@ struct Metrics::Writer
 void
 MetricsConfig::validate() const
 {
-    panic_if(interval == 0, "metrics.interval must be positive");
+    fatal_if(interval == 0, "metrics.interval must be positive");
 }
 
 Metrics::Metrics() = default;

@@ -42,7 +42,7 @@ struct MetricsConfig
     /** Cycles between snapshots. */
     Cycle interval = 10000;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 };
 

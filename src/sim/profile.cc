@@ -12,7 +12,7 @@ namespace nifdy
 void
 ProfileConfig::validate() const
 {
-    panic_if(interval == 0, "profile.interval must be >= 1");
+    fatal_if(interval == 0, "profile.interval must be >= 1");
 }
 
 Profiler::Profiler(const ProfileConfig &cfg) : cfg_(cfg)

@@ -87,7 +87,7 @@ struct ProfileConfig
      * deterministic step/idle counters always run every cycle. */
     Cycle interval = 32;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 };
 

@@ -15,9 +15,9 @@ namespace nifdy
 void
 TraceConfig::validate() const
 {
-    panic_if(sampleRate < 0.0 || sampleRate > 1.0,
+    fatal_if(sampleRate < 0.0 || sampleRate > 1.0,
              "trace.sampleRate %f out of [0, 1]", sampleRate);
-    panic_if(maxEvents == 0, "trace.maxEvents must be positive");
+    fatal_if(maxEvents == 0, "trace.maxEvents must be positive");
 }
 
 Tracer::Tracer(const TraceConfig &cfg)
@@ -77,7 +77,7 @@ Tracer::anatomySlice(const char *name, std::uint64_t rootId,
     std::int64_t len = static_cast<std::int64_t>(to - from);
     // Explicit "b"/"e" pair: the slice starts at the segment start,
     // which is in the past relative to the buffer tail. Perfetto
-    // sorts by timestamp; check_trace.py exempts "anatomy." names
+    // sorts by timestamp; `analyze.py trace` exempts "anatomy." names
     // from the per-chain monotonicity check for the same reason.
     record(name, rootId, from, track, 0, nullptr, 'b', len);
     record(name, rootId, to, track, 0, nullptr, 'e', len);

@@ -21,8 +21,8 @@
  *
  * Event names form the taxonomy documented in DESIGN.md section 8;
  * tools/lint.py enforces the component.noun[.verb] convention and
- * taxonomy membership, and tools/check_trace.py validates emitted
- * files in CI.
+ * taxonomy membership, and `tools/analyze.py trace` validates
+ * emitted files in CI.
  */
 
 #ifndef NIFDY_SIM_TRACE_HH
@@ -104,7 +104,7 @@ struct TraceConfig
     /** Sampling hash seed; 0 = inherit the experiment seed. */
     std::uint64_t seed = 0;
 
-    /** Panic on out-of-range values. */
+    /** Fatal on out-of-range knobs. */
     void validate() const;
 };
 
@@ -150,7 +150,7 @@ class Tracer
      * an explicit "b"/"e" pair on @p rootId's async chain, so it
      * renders as a per-cause child slice under the packet's
      * lifecycle chain. Exempt from lifecycle framing (the name
-     * carries the "anatomy." prefix check_trace.py keys on). */
+     * carries the "anatomy." prefix `analyze.py trace` keys on). */
     void anatomySlice(const char *name, std::uint64_t rootId,
                       Cycle from, Cycle to, int track);
     /** Counter-track sample ("C" phase): @p value packets currently
