@@ -33,14 +33,9 @@ runWith(const std::string &topo, NifdyConfig nifdy, Cycle cycles,
     cfg.seed = seed;
     cfg.nifdyExplicit = true;
     cfg.nifdy = nifdy;
-    cfg.msg.packetWords = 8;
-    Experiment exp(cfg);
-    for (NodeId n = 0; n < nodes; ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               nodes, sp, seed));
-    exp.runFor(cycles);
-    return exp.totals();
+    auto exp = syntheticExperiment(cfg, sp);
+    exp->runFor(cycles);
+    return exp->totals();
 }
 
 } // namespace

@@ -38,12 +38,9 @@ main(int argc, char **argv)
                   "adaptive/dor"});
         for (NicKind kind :
              {NicKind::none, NicKind::buffers, NicKind::nifdy}) {
-            auto dor = syntheticThroughput("mesh2d", kind, sp,
-                                           args.cycles, args.nodes,
-                                           args.seed);
-            auto ad = syntheticThroughput("mesh2d-adaptive", kind, sp,
-                                          args.cycles, args.nodes,
-                                          args.seed);
+            auto dor = syntheticThroughput(args, "mesh2d", kind, sp);
+            auto ad =
+                syntheticThroughput(args, "mesh2d-adaptive", kind, sp);
             t.row({nicKindName(kind),
                    Table::num(static_cast<long>(dor)),
                    Table::num(static_cast<long>(ad)),

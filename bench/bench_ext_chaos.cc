@@ -59,7 +59,6 @@ main(int argc, char **argv)
         cfg.numNodes = args.nodes;
         cfg.nicKind = NicKind::lossy;
         cfg.seed = args.seed;
-        cfg.msg.packetWords = 8;
         cfg.lossy.retxTimeout = 1200;
         cfg.lossy.backoffFactor = 2.0;
         cfg.lossy.maxRetxTimeout = 9600;
@@ -73,15 +72,10 @@ main(int argc, char **argv)
             pt.restart ? restartAfter : 0;
         cfg.nodeFault.seed = 11;
         cfg.nodeReclaim = reclaim;
-        Experiment exp(cfg);
-        for (NodeId n = 0; n < args.nodes; ++n)
-            exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                                   exp.proc(n), exp.msg(n),
-                                   exp.barrier(), args.nodes, sp,
-                                   args.seed));
-        exp.runFor(args.cycles);
+        auto exp = syntheticExperiment(cfg, sp);
+        exp->runFor(args.cycles);
 
-        const Experiment::Totals tot = exp.totals();
+        const Experiment::Totals tot = exp->totals();
         if (!base)
             base = tot.wordsDelivered;
         t.row({Table::num(static_cast<long>(pt.crashes)),

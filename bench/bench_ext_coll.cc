@@ -14,8 +14,9 @@
  * machinery's activity: retransmissions, probes, pruned subtrees,
  * and degraded completions. Survivors must finish every phase.
  *
- * Args: nodes ignored (the sweep is fixed); phases=32 seed=1
- *       topology=fattree arity=4 crashNodes=64 csv=false help=false
+ * Args: phases=32 seed=1 topology=fattree arity=4 crashNodes=64
+ *       csv=false help=false (no nodes=: the sweep's machine sizes
+ *       are fixed, and crashNodes= sizes the crash runs)
  */
 
 #include <stdexcept>
@@ -96,7 +97,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    BenchArgs args(argc, argv, 0, 16);
+    BenchArgs args(argc, argv, 0, /*defNodes=*/0);
     std::string topology = "fattree";
     args.conf.knob("topology", topology, "network topology");
     int phases = 32;

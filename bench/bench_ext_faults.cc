@@ -74,17 +74,11 @@ main(int argc, char **argv)
         cfg.numNodes = args.nodes;
         cfg.nicKind = NicKind::lossy;
         cfg.seed = args.seed;
-        cfg.msg.packetWords = 8;
         cfg.fault.dropProb = drop;
-        Experiment exp(cfg);
-        for (NodeId n = 0; n < args.nodes; ++n)
-            exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                                   exp.proc(n), exp.msg(n),
-                                   exp.barrier(), args.nodes, sp,
-                                   args.seed));
-        exp.runFor(args.cycles);
+        auto exp = syntheticExperiment(cfg, sp);
+        exp->runFor(args.cycles);
 
-        const Experiment::Totals tot = exp.totals();
+        const Experiment::Totals tot = exp->totals();
         const std::uint64_t words = tot.wordsDelivered;
         if (!base)
             base = words;
@@ -92,16 +86,16 @@ main(int argc, char **argv)
         std::snprintf(label, sizeof(label), "%.0f%%", drop * 100);
         char tag[32];
         std::snprintf(tag, sizeof(tag), "fault%.0f", drop * 100);
-        recordAnatomy(exp, args, tag);
-        recordCongestion(exp, args, tag);
+        recordAnatomy(*exp, args, tag);
+        recordCongestion(*exp, args, tag);
         t.row({label, Table::num(static_cast<long>(words)),
                Table::num(double(words) / double(base), 3),
                Table::num(static_cast<long>(
-                   exp.faults() ? exp.faults()->packetsDroppedInFabric()
-                                : 0)),
+                   exp->faults() ? exp->faults()->packetsDroppedInFabric()
+                                 : 0)),
                Table::num(static_cast<long>(
-                   exp.faults() ? exp.faults()->packetsCorrupted()
-                                : 0)),
+                   exp->faults() ? exp->faults()->packetsCorrupted()
+                                 : 0)),
                Table::num(static_cast<long>(tot.retransmissions)),
                tot.recovery.count() ? Table::num(tot.recovery.mean(), 1)
                                     : "-",

@@ -41,15 +41,9 @@ main(int argc, char **argv)
         cfg.seed = args.seed;
         cfg.lossy.dropProb = drop;
         cfg.lossy.retxTimeout = timeout;
-        cfg.msg.packetWords = 8;
-        Experiment exp(cfg);
-        for (NodeId n = 0; n < args.nodes; ++n)
-            exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                                   exp.proc(n), exp.msg(n),
-                                   exp.barrier(), args.nodes, sp,
-                                   args.seed));
-        exp.runFor(args.cycles);
-        const Experiment::Totals tot = exp.totals();
+        auto exp = syntheticExperiment(cfg, sp);
+        exp->runFor(args.cycles);
+        const Experiment::Totals tot = exp->totals();
         if (!base)
             base = tot.packetsDelivered;
         char label[32];

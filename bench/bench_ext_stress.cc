@@ -35,18 +35,13 @@ runStress(const std::string &topo, NicKind kind, double hotspot,
     cfg.numNodes = nodes;
     cfg.nicKind = kind;
     cfg.seed = seed;
-    cfg.msg.packetWords = 8;
     cfg.net.degradedFraction = degraded;
-    Experiment exp(cfg);
     SyntheticParams sp = SyntheticParams::heavy();
     sp.hotspotProb = hotspot;
     sp.hotspot = nodes / 2;
-    for (NodeId n = 0; n < nodes; ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               nodes, sp, seed));
-    exp.runFor(cycles);
-    return exp.packetsDelivered();
+    auto exp = syntheticExperiment(cfg, sp);
+    exp->runFor(cycles);
+    return exp->packetsDelivered();
 }
 
 } // namespace

@@ -46,14 +46,11 @@ main(int argc, char **argv)
     SyntheticParams sp = SyntheticParams::heavy();
     for (const std::string &topo : paperTopologies()) {
         std::uint64_t none = syntheticThroughput(
-            topo, NicKind::none, sp, args.cycles, args.nodes,
-            args.seed, args.base, &args, topo + ".none");
+            args, topo, NicKind::none, sp, topo + ".none");
         std::uint64_t buffers = syntheticThroughput(
-            topo, NicKind::buffers, sp, args.cycles, args.nodes,
-            args.seed, args.base, &args, topo + ".buffers");
+            args, topo, NicKind::buffers, sp, topo + ".buffers");
         std::uint64_t nifdy = syntheticThroughput(
-            topo, NicKind::nifdy, sp, args.cycles, args.nodes,
-            args.seed, args.base, &args, topo + ".nifdy");
+            args, topo, NicKind::nifdy, sp, topo + ".nifdy");
         t.row({topo, Table::num(static_cast<long>(none)),
                Table::num(static_cast<long>(buffers)),
                Table::num(static_cast<long>(nifdy)),

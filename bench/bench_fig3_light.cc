@@ -30,15 +30,12 @@ main(int argc, char **argv)
 
     SyntheticParams sp = SyntheticParams::light();
     for (const std::string &topo : paperTopologies()) {
-        std::uint64_t none = syntheticThroughput(
-            topo, NicKind::none, sp, args.cycles, args.nodes,
-            args.seed, args.base);
-        std::uint64_t buffers = syntheticThroughput(
-            topo, NicKind::buffers, sp, args.cycles, args.nodes,
-            args.seed, args.base);
-        std::uint64_t nifdy = syntheticThroughput(
-            topo, NicKind::nifdy, sp, args.cycles, args.nodes,
-            args.seed, args.base);
+        std::uint64_t none =
+            syntheticThroughput(args, topo, NicKind::none, sp);
+        std::uint64_t buffers =
+            syntheticThroughput(args, topo, NicKind::buffers, sp);
+        std::uint64_t nifdy =
+            syntheticThroughput(args, topo, NicKind::nifdy, sp);
         t.row({topo, Table::num(static_cast<long>(none)),
                Table::num(static_cast<long>(buffers)),
                Table::num(static_cast<long>(nifdy)),

@@ -37,21 +37,15 @@ run(int nodes, NicKind kind, int o, int b, Cycle cycles,
     cfg.numNodes = nodes;
     cfg.nicKind = kind;
     cfg.seed = seed;
-    cfg.msg.packetWords = 8;
     cfg.msg.bulkThreshold = 0; // no bulk dialogs in this study
     cfg.nifdyExplicit = true;
     cfg.nifdy.opt = o;
     cfg.nifdy.pool = b;
     cfg.nifdy.dialogs = 0;
     cfg.nifdy.window = 0;
-    Experiment exp(cfg);
-    SyntheticParams sp = shortMessages();
-    for (NodeId n = 0; n < exp.numNodes(); ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               exp.numNodes(), sp, seed));
-    exp.runFor(cycles);
-    return exp.packetsDelivered();
+    auto exp = syntheticExperiment(cfg, shortMessages());
+    exp->runFor(cycles);
+    return exp->packetsDelivered();
 }
 
 } // namespace
@@ -60,7 +54,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    BenchArgs args(argc, argv, 120000);
+    BenchArgs args(argc, argv, 120000, /*defNodes=*/0);
     args.conf.close();
     const std::vector<int> sizes{16, 64, 256};
 

@@ -1,10 +1,7 @@
 /**
  * @file
- * Kernel throughput bench: the perf trajectory anchor.
- *
- * Measures *simulator* speed -- sim-cycles/sec and flit-events/sec
- * of host wall time -- across a small config grid spanning the
- * kernel's cost regimes:
+ * Kernel work-count grid: deterministic window counts across a small
+ * config grid spanning the kernel's cost regimes:
  *
  *   idle       64-node fat tree, no workload: pure step-loop
  *              overhead, the idle-skipping headroom ceiling
@@ -15,25 +12,25 @@
  *   bigtree    256-node fat tree, light synthetic traffic: the
  *              largest fat tree, component-count scaling
  *
- * The fig2heavy config additionally runs with profile.enabled to
- * measure the profiler's own overhead (the run must replay the exact
- * same simulation -- checked -- and stay within ~10%).
+ * Each config warms up for a tenth of the window, then counts the
+ * cycles, flit events and packet deliveries of the window. The
+ * fig2heavy config runs a second time with profile.enabled: the twin
+ * must replay the exact same simulation (checked), and its step and
+ * idle-step counts per component class go in the report as
+ * "profile.fig2heavy.*" metrics.
  *
- * Determinism: cycle/flit/packet counts are deterministic and go in
- * the normal report metrics; wall times and rates are host facts and
- * go in the nondeterministic "profile" section (see DESIGN.md
- * section 12). `--json BENCH_kernel.json` writes the committed
- * baseline. CI checks its deterministic counts against a fresh run
- * (release job), and the perf-smoke job gates large throughput
- * regressions against its rates with
- * `tools/analyze.py profile --gate`.
+ * Every metric is a pure function of the arguments; only the
+ * profiler's own host-time figures ("host.fig2heavy.*") land in the
+ * nondeterministic "profile" section (see DESIGN.md section 12).
+ * `--json BENCH_kernel.json` writes the committed snapshot, which CI
+ * compares with a fresh run (release job). Host time is measured by
+ * perfbench, not here (perfbench/README.md).
  *
  * Usage: bench_kernel [cycles=N] [grid=idle,fig2heavy,...]
  *                     [seed=N] [--json PATH]
  */
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -45,81 +42,60 @@ namespace nifdy
 namespace
 {
 
-std::uint64_t
-wallNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-enum class Load { none, light, heavy };
-
 struct GridSpec
 {
     const char *tag;
     const char *topology;
     int nodes;
     NicKind kind;
-    Load load;
+    SyntheticParams (*load)(); //!< nullptr: no workload
     double faultDrop;
 };
 
 const GridSpec grid[] = {
-    {"idle", "fattree", 64, NicKind::nifdy, Load::none, 0.0},
-    {"fig2heavy", "fattree", 64, NicKind::nifdy, Load::heavy, 0.0},
-    {"faultsoak", "fattree", 16, NicKind::lossy, Load::heavy, 0.05},
-    {"bigtree", "fattree", 256, NicKind::nifdy, Load::light, 0.0},
+    {"idle", "fattree", 64, NicKind::nifdy, nullptr, 0.0},
+    {"fig2heavy", "fattree", 64, NicKind::nifdy, &SyntheticParams::heavy,
+     0.0},
+    {"faultsoak", "fattree", 16, NicKind::lossy, &SyntheticParams::heavy,
+     0.05},
+    {"bigtree", "fattree", 256, NicKind::nifdy, &SyntheticParams::light,
+     0.0},
 };
 
-struct RunResult
+struct WindowCounts
 {
     Cycle cycles = 0;
-    std::uint64_t wallNs = 0;
-    std::uint64_t flits = 0;   //!< flit events in the timed window
-    std::uint64_t packets = 0; //!< deliveries in the timed window
+    std::uint64_t flits = 0;   //!< flit events in the window
+    std::uint64_t packets = 0; //!< deliveries in the window
 };
 
 std::unique_ptr<Experiment>
 makeGridExperiment(const GridSpec &spec, std::uint64_t seed,
-                   bool profiled, ExperimentConfig cfg)
+                   bool profiled)
 {
+    ExperimentConfig cfg;
     cfg.topology = spec.topology;
     cfg.numNodes = spec.nodes;
     cfg.nicKind = spec.kind;
     cfg.seed = seed;
-    cfg.msg.packetWords = 8;
     if (spec.faultDrop > 0)
         cfg.fault.dropProb = spec.faultDrop;
-    if (profiled)
-        cfg.profile.enabled = true;
-    auto exp = std::make_unique<Experiment>(cfg);
-    if (spec.load != Load::none) {
-        SyntheticParams sp = spec.load == Load::heavy
-                                 ? SyntheticParams::heavy()
-                                 : SyntheticParams::light();
-        for (NodeId n = 0; n < exp->numNodes(); ++n)
-            exp->setWorkload(n, std::make_unique<SyntheticWorkload>(
-                                    exp->proc(n), exp->msg(n),
-                                    exp->barrier(), exp->numNodes(),
-                                    sp, seed));
-    }
-    return exp;
+    cfg.profile.enabled = profiled;
+    if (!spec.load)
+        return std::make_unique<Experiment>(cfg);
+    return syntheticExperiment(cfg, spec.load());
 }
 
-/** Warm up (pools fill, protocol reaches steady state), then time a
- * fixed window of wall clock around runFor(). */
-RunResult
-timeRun(Experiment &exp, Cycle warmup, Cycle cycles)
+/** Warm up (pools fill, protocol reaches steady state), then count
+ * a fixed window of runFor(). */
+WindowCounts
+countWindow(Experiment &exp, Cycle warmup, Cycle cycles)
 {
     exp.runFor(warmup);
-    RunResult r;
+    WindowCounts r;
     std::uint64_t flits0 = exp.network().totalFlitsSwitched();
     std::uint64_t pkts0 = exp.packetsDelivered();
-    std::uint64_t t0 = wallNowNs();
     r.cycles = exp.runFor(cycles);
-    r.wallNs = wallNowNs() - t0;
     r.flits = exp.network().totalFlitsSwitched() - flits0;
     r.packets = exp.packetsDelivered() - pkts0;
     return r;
@@ -150,30 +126,10 @@ selectGrid(const std::string &names)
     return on;
 }
 
-void
-recordRun(BenchArgs &args, const std::string &tag, const RunResult &r)
-{
-    // Deterministic window counts -> normal metrics.
-    args.report.addMetric("kernel." + tag + ".cycles",
-                          std::uint64_t(r.cycles));
-    args.report.addMetric("kernel." + tag + ".flits", r.flits);
-    args.report.addMetric("kernel." + tag + ".packets", r.packets);
-    // Host wall time and rates -> quarantined profile section.
-    double sec = double(r.wallNs) * 1e-9;
-    args.report.addProfile("kernel." + tag + ".wall.ns", r.wallNs);
-    if (sec > 0) {
-        args.report.addProfile("kernel." + tag + ".cycles.persec",
-                               double(r.cycles) / sec);
-        args.report.addProfile("kernel." + tag + ".flits.persec",
-                               double(r.flits) / sec);
-    }
-}
-
 int
 benchMain(int argc, char **argv)
 {
-    BenchArgs args(argc, argv, /*defCycles=*/40000);
-    args.bindTelemetry();
+    BenchArgs args(argc, argv, /*defCycles=*/40000, /*defNodes=*/0);
     std::string only;
     args.conf.knob("grid", only,
                    "comma-separated configs to run (default: all of "
@@ -189,44 +145,29 @@ benchMain(int argc, char **argv)
         if (!selected[g])
             continue;
         const GridSpec &spec = grid[g];
+        const std::string tag = spec.tag;
         Cycle warmup = args.cycles / 10;
-        auto exp =
-            makeGridExperiment(spec, args.seed, false, args.base);
-        RunResult r = timeRun(*exp, warmup, args.cycles);
-        recordRun(args, spec.tag, r);
-        t.row({spec.tag, spec.topology,
+        auto exp = makeGridExperiment(spec, args.seed, false);
+        WindowCounts r = countWindow(*exp, warmup, args.cycles);
+        args.report.addMetric("kernel." + tag + ".cycles",
+                              std::uint64_t(r.cycles));
+        args.report.addMetric("kernel." + tag + ".flits", r.flits);
+        args.report.addMetric("kernel." + tag + ".packets", r.packets);
+        t.row({tag, spec.topology,
                Table::num(static_cast<long>(spec.nodes)),
                Table::num(static_cast<long>(r.cycles)),
                Table::num(static_cast<long>(r.flits)),
                Table::num(static_cast<long>(r.packets))});
-        printRaw(std::string(spec.tag) + ": " +
-                 Table::num(double(r.cycles) * 1e9 /
-                                double(r.wallNs),
-                            0) +
-                 " cycles/s, " +
-                 Table::num(double(r.flits) * 1e9 /
-                                double(r.wallNs),
-                            0) +
-                 " flit events/s\n");
 
-        if (std::string(spec.tag) == "fig2heavy") {
-            // Same config with the profiler attached: measures the
-            // profiler's own overhead. The simulation itself must be
-            // bit-identical -- the profiler only observes.
-            auto pexp = makeGridExperiment(spec, args.seed, true,
-                                           args.base);
-            RunResult pr = timeRun(*pexp, warmup, args.cycles);
+        if (tag == "fig2heavy") {
+            // The profiled twin: the profiler only observes, so the
+            // simulation must be bit-identical to the plain run.
+            auto pexp = makeGridExperiment(spec, args.seed, true);
+            WindowCounts pr = countWindow(*pexp, warmup, args.cycles);
             panic_if(pr.flits != r.flits || pr.packets != r.packets,
                      "profiled run diverged from the plain run: "
                      "the profiler must not perturb the simulation");
-            recordRun(args, "fig2heavyprof", pr);
-            recordProfile(*pexp, args, "fig2heavy");
-            double overhead =
-                double(pr.wallNs) / double(r.wallNs) - 1.0;
-            args.report.addProfile("kernel.profile.overheadfrac",
-                                   overhead);
-            printRaw("fig2heavy profiler overhead: " +
-                     Table::num(overhead * 100.0, 1) + "%\n");
+            recordProfile(*pexp, args, tag);
         }
     }
 

@@ -7,7 +7,8 @@
  * common ones
  *   cycles=N       measurement window (benches that run to
  *                  completion have none)
- *   nodes=N        machine size (default per bench)
+ *   nodes=N        machine size (default per bench; benches that
+ *                  sweep fixed machine sizes have none)
  *   seed=N         RNG seed (default 1)
  *   csv=true       additionally emit CSV rows
  *   --json PATH    also write the run report as JSON (or json=PATH)
@@ -25,7 +26,11 @@
  * recordCongestion() and recordProfile() write their metric groups
  * through the observer's own reportMetrics(), the writer
  * Experiment::fillReport() uses too; the helpers add only the bench
- * tables.
+ * tables. syntheticExperiment() assembles the synthetic benchmark
+ * every throughput bench runs.
+ *
+ * No bench times itself: host time is perfbench's to measure
+ * (perfbench/README.md).
  */
 
 #ifndef NIFDY_BENCH_BENCHUTIL_HH
@@ -60,7 +65,8 @@ struct BenchArgs
     RunReport report;
 
     /** @p defCycles == 0: the bench runs to completion and takes no
-     * cycles= knob. */
+     * cycles= knob. @p defNodes == 0: the bench sweeps fixed machine
+     * sizes and takes no nodes= knob. */
     BenchArgs(int argc, char **argv, Cycle defCycles, int defNodes = 64)
         : cycles(defCycles), nodes(defNodes),
           report(toolName(argc, argv))
@@ -73,7 +79,8 @@ struct BenchArgs
         if (defCycles > 0)
             conf.knob("cycles", cycles, "measurement window in cycles",
                       1);
-        conf.knob("nodes", nodes, "machine size");
+        if (defNodes > 0)
+            conf.knob("nodes", nodes, "machine size");
         conf.knob("seed", seed, "RNG seed");
         conf.knob("csv", csv, "additionally emit CSV rows");
         conf.knob("json", jsonPath, "write the run report as JSON here");
@@ -115,15 +122,18 @@ struct BenchArgs
 
     /**
      * Final step of every bench main(): echo the effective common
-     * knobs into the report and write the JSON document when
-     * `--json`/json= was given. Returns the process exit code.
+     * knobs the bench binds into the report and write the JSON
+     * document when `--json`/json= was given. Returns the process
+     * exit code.
      */
     int finish()
     {
         report.echoConfig(conf);
-        report.echoConfig("cycles",
-                          std::to_string(static_cast<long long>(cycles)));
-        report.echoConfig("nodes", std::to_string(nodes));
+        if (cycles > 0)
+            report.echoConfig(
+                "cycles", std::to_string(static_cast<long long>(cycles)));
+        if (nodes > 0)
+            report.echoConfig("nodes", std::to_string(nodes));
         report.echoConfig("seed",
                           std::to_string(static_cast<long long>(seed)));
         if (!jsonPath.empty())
@@ -198,36 +208,49 @@ recordProfile(Experiment &exp, BenchArgs &args,
 }
 
 /**
- * Packets delivered by synthetic traffic on every node in a fixed
- * window, on an experiment that starts from @p cfg (pass a bench's
- * BenchArgs::base to apply its observer knobs). When @p blameInto is
- * given, whichever attribution sinks are enabled (latency anatomy,
- * congestion observatory) are recorded into the bench report under
- * "anatomy.<blameTag>." / "congestion.<blameTag>." names.
+ * An experiment built from @p cfg with the synthetic benchmark on
+ * every node: 8-word packets, and each node's generator seeded with
+ * cfg.seed.
+ */
+inline std::unique_ptr<Experiment>
+syntheticExperiment(ExperimentConfig cfg, const SyntheticParams &sp)
+{
+    cfg.msg.packetWords = 8; // the synthetic benchmark's packet size
+    auto exp = std::make_unique<Experiment>(cfg);
+    for (NodeId n = 0; n < exp->numNodes(); ++n)
+        exp->setWorkload(n, std::make_unique<SyntheticWorkload>(
+                                exp->proc(n), exp->msg(n),
+                                exp->barrier(), exp->numNodes(), sp,
+                                cfg.seed));
+    return exp;
+}
+
+/**
+ * Packets delivered by synthetic traffic on @p topology with @p kind
+ * NICs in the bench's window, on its nodes= machine and seed,
+ * starting from BenchArgs::base (so its observer knobs apply). With
+ * a @p blameTag, whichever attribution sinks are enabled (latency
+ * anatomy, congestion observatory) are recorded into the bench
+ * report under "anatomy.<blameTag>." / "congestion.<blameTag>."
+ * names.
  */
 inline std::uint64_t
-syntheticThroughput(const std::string &topology, NicKind kind,
-                    const SyntheticParams &sp, Cycle cycles, int nodes,
-                    std::uint64_t seed, ExperimentConfig cfg = {},
-                    BenchArgs *blameInto = nullptr,
+syntheticThroughput(BenchArgs &args, const std::string &topology,
+                    NicKind kind, const SyntheticParams &sp,
                     const std::string &blameTag = "")
 {
+    ExperimentConfig cfg = args.base;
     cfg.topology = topology;
-    cfg.numNodes = nodes;
+    cfg.numNodes = args.nodes;
     cfg.nicKind = kind;
-    cfg.seed = seed;
-    cfg.msg.packetWords = 8; // the synthetic benchmark's packet size
-    Experiment exp(cfg);
-    for (NodeId n = 0; n < exp.numNodes(); ++n)
-        exp.setWorkload(n, std::make_unique<SyntheticWorkload>(
-                               exp.proc(n), exp.msg(n), exp.barrier(),
-                               exp.numNodes(), sp, seed));
-    exp.runFor(cycles);
-    if (blameInto) {
-        recordAnatomy(exp, *blameInto, blameTag);
-        recordCongestion(exp, *blameInto, blameTag);
+    cfg.seed = args.seed;
+    auto exp = syntheticExperiment(cfg, sp);
+    exp->runFor(args.cycles);
+    if (!blameTag.empty()) {
+        recordAnatomy(*exp, args, blameTag);
+        recordCongestion(*exp, args, blameTag);
     }
-    return exp.packetsDelivered();
+    return exp->packetsDelivered();
 }
 
 } // namespace nifdy

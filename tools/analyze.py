@@ -12,9 +12,8 @@ flags.
                        between groups, and the conservation gate
                        (DESIGN.md section 14)
   profile REPORT       host-cost blame and idle-work account per
-                       group, bench_kernel throughput, the perf gate
-                       and bench report validation (DESIGN.md
-                       section 12)
+                       group, and the blame shift between groups
+                       (DESIGN.md section 12)
   trace TRACE.json...  nifdy-trace-1 packet-lifecycle validation
 
 REPORT is the nifdy-report-1 JSON written by `run_experiment --json`
@@ -24,8 +23,9 @@ the bare "<family>.<key>" set, the benches one "<family>.<tag>.<key>"
 set per configuration. The family is anatomy, congestion, or host in
 the report's profile section.
 
-Exit status: 0 clean; 1 on a conservation, validation or gate
-failure, a report without the family's data, or an unknown group tag.
+Exit status: 0 clean; 1 on a conservation or validation failure, a
+report without the family's data, or an unknown group tag. Host
+speed is perfbench's to measure (perfbench/README.md).
 """
 
 import argparse
@@ -505,17 +505,14 @@ def cmd_congestion(args):
     return 0
 
 
-# --- profile: host-cost blame, idle work, bench_kernel gate --------
+# --- profile: host-cost blame and idle work ------------------------
 #
-# Three data families (DESIGN.md section 12):
+# Two data families (DESIGN.md section 12):
 #   metrics  profile[.<tag>].steps.<class> / .idlesteps.<class>
 #            deterministic step/idle counters (the idle-work account)
 #   profile  host[.<tag>].class.<class>.ns / .phase.<phase>.ns /
 #            .loop.ns -- nondeterministic host-time figures,
 #            quarantined in the report's "profile" section
-#   profile  kernel.<tag>.wall.ns / .cycles.persec / .flits.persec --
-#            bench_kernel throughput figures, one group per config
-#            found by its deterministic kernel.<tag>.cycles metric
 
 class Profile(Group):
     """One profiled run: host-ns blame + idle-work account."""
@@ -576,100 +573,11 @@ def print_profile_compare(ga, gb):
               f"({sb - sa:+.1%})")
 
 
-class Bench(Group):
-    """One bench_kernel config: its host rates."""
-
-    FAMILY, ANCHOR = "kernel", "cycles"
-    DATA = "kernel.<tag>.* bench data"
-    HINT = "write one with bench_kernel --json"
-
-    def __init__(self, tag, doc):
-        super().__init__(tag, doc)
-        profile = doc.get("profile", {})
-        self.cps = float(profile.get(self.key("cycles.persec"), 0))
-        self.fps = float(profile.get(self.key("flits.persec"), 0))
-
-
-def print_bench(doc, benches):
-    if not benches:
-        return
-    print("== kernel throughput (nondeterministic host rates) ==")
-    for tag, b in sorted(benches.items()):
-        print(f"  {tag:<16} {b.cps:>14,.0f} cycles/s "
-              f"{b.fps:>14,.0f} flit events/s")
-    ov = doc.get("profile", {}).get("kernel.profile.overheadfrac")
-    if ov is not None:
-        print(f"  profiler overhead on fig2heavy: {float(ov):.1%}")
-    print()
-
-
-def cmd_gate(doc, baseline_path, min_ratio):
-    cur = Bench.find(doc)
-    failed = False
-    for tag, b in sorted(Bench.find(load_report(baseline_path),
-                                    baseline_path).items()):
-        if tag not in cur:
-            print(f"GATE FAIL {tag}: missing from current report")
-            failed = True
-            continue
-        # Gate flit events/sec where the config moves traffic;
-        # the idle fabric has none, so gate raw cycles/sec there.
-        base_rate, cur_rate, unit = (
-            (b.fps, cur[tag].fps, "flit events/s") if b.fps > 0
-            else (b.cps, cur[tag].cps, "cycles/s"))
-        if base_rate <= 0:
-            continue
-        ratio = cur_rate / base_rate
-        verdict = "ok" if ratio >= min_ratio else "FAIL"
-        print(f"gate {tag:<12} {cur_rate:>14,.0f} {unit} "
-              f"(baseline {base_rate:,.0f}, ratio {ratio:.2f}, "
-              f"floor {min_ratio:.2f}) {verdict}")
-        if ratio < min_ratio:
-            failed = True
-    if failed:
-        print("perf gate FAILED: throughput regressed beyond the "
-              "noise floor")
-        return 1
-    print("perf gate passed")
-    return 0
-
-
-def cmd_validate_bench(doc):
-    metrics = doc.get("metrics", {})
-    profile = doc.get("profile", {})
-    tags = list(Bench.find(doc))
-    errors = []
-    if not tags:
-        errors.append("no kernel.<tag>.cycles metrics")
-    if not profile.get("nondeterministic"):
-        errors.append('profile section missing its '
-                      '"nondeterministic": true marker')
-    for tag in tags:
-        if f"kernel.{tag}.flits" not in metrics:
-            errors.append(f"missing metric kernel.{tag}.flits")
-        for key in (f"kernel.{tag}.wall.ns", f"kernel.{tag}.cycles.persec"):
-            if key not in profile:
-                errors.append(f"missing profile entry {key}")
-    for err in errors:
-        print(f"VALIDATE FAIL: {err}")
-    if not errors:
-        print(f"bench report valid: configs {', '.join(sorted(tags))}")
-    return 1 if errors else 0
-
-
 def cmd_profile(args):
-    doc = load_report(args.report)
-    if args.validate_bench:
-        return cmd_validate_bench(doc)
-    if args.gate:
-        return cmd_gate(doc, args.gate, args.min_ratio)
-    # A bench_kernel report without a profiled config is still data.
-    benches = Bench.find(doc)
-    groups = Profile.find(doc, None if benches else args.report)
+    groups = Profile.find(load_report(args.report), args.report)
     if args.compare:
         print_profile_compare(*pick(groups, args.compare))
         return 0
-    print_bench(doc, benches)
     for tag in sorted(groups):
         print_profile_group(groups[tag])
     return 0
@@ -865,17 +773,7 @@ def main(argv=None):
     cong.add_argument("--top", type=int, default=8,
                       help="rows per ranked section (default 8)")
 
-    prof = command("profile", cmd_profile,
-                   "host-cost blame / idle-work / perf-gate analyzer")
-    prof.add_argument("--gate", metavar="BASELINE",
-                      help="fail on throughput regression vs this "
-                           "bench_kernel baseline report")
-    prof.add_argument("--min-ratio", type=float, default=0.25,
-                      help="gate floor: current/baseline rate "
-                           "(default %(default)s -- generous, CI "
-                           "runners are noisy)")
-    prof.add_argument("--validate-bench", action="store_true",
-                      help="validate bench_kernel report structure")
+    command("profile", cmd_profile, "host-cost blame / idle-work analyzer")
 
     trace_help = "validate nifdy-trace-1 packet-lifecycle traces"
     trace = sub.add_parser("trace", help=trace_help,

@@ -90,25 +90,9 @@ def test_congestion_renders_groups_and_shift():
     assert "== congestion shift: incast.none -> incast.nifdy ==" in out
 
 
-def test_profile_validates_bench_snapshot():
-    status, out, err = run("profile", "BENCH_kernel.json",
-                           "--validate-bench")
-    assert status == 0, out + err
-    assert out == ("bench report valid: configs bigtree, faultsoak, "
-                   "fig2heavy, fig2heavyprof, idle\n"), out
-
-
-def test_profile_self_gate_passes():
-    status, out, err = run("profile", "BENCH_kernel.json",
-                           "--gate", "BENCH_kernel.json")
-    assert status == 0, out + err
-    assert out.endswith("perf gate passed\n"), out
-
-
 def test_profile_renders_bench_and_group():
     status, out, err = run("profile", "BENCH_kernel.json")
     assert status == 0, err
-    assert "== kernel throughput" in out, out
     assert "== host-cost blame: fig2heavy" in out, out
 
 
@@ -139,24 +123,6 @@ def test_congestion_link_row_leak_fails():
     expect_fail(run_on(doc, "congestion", "--check-conservation"), 2,
                 f"CONSERVATION VIOLATION [incast.nifdy]: link {row[0]}: "
                 "busy+idle+stalled")
-
-
-def test_profile_rate_under_min_ratio_fails():
-    doc = snapshot("BENCH_kernel.json")
-    for key in doc["profile"]:
-        if key.endswith(".persec"):
-            doc["profile"][key] *= 0.1
-    expect_fail(run_on(doc, "profile", "--gate",
-                       REPO_ROOT / "BENCH_kernel.json",
-                       "--min-ratio", "0.25"), 1,
-                "perf gate FAILED")
-
-
-def test_profile_missing_bench_key_fails():
-    doc = snapshot("BENCH_kernel.json")
-    del doc["profile"]["kernel.idle.wall.ns"]
-    expect_fail(run_on(doc, "profile", "--validate-bench"), 1,
-                "VALIDATE FAIL: missing profile entry kernel.idle.wall.ns")
 
 
 def test_unknown_compare_tag_fails():
