@@ -32,55 +32,16 @@ main(int argc, char **argv)
     conf.close();
 
     // Measure unloaded latency at a few distances with plain NICs.
+    const LatencyFit fit = fitLatency(topo, nodes, 32, seed);
+    for (const LatencyProbe &pr : fit.probes)
+        std::printf("probe 0->%d: %d hops, %lu cycles\n", pr.dst, pr.hops,
+                    static_cast<unsigned long>(pr.cycles));
+    const NetModel &m = fit.model;
+
     NetworkParams np;
     np.numNodes = nodes;
     np.seed = seed;
     auto net = makeNetwork(topo, np);
-    Kernel kernel;
-    net->addToKernel(kernel);
-    PacketPool pool;
-    std::vector<std::unique_ptr<PlainNic>> nics;
-    for (NodeId n = 0; n < nodes; ++n) {
-        NicParams nicp;
-        nicp.flitBytes = net->params().flitBytes;
-        nicp.vcsPerClass = net->params().vcsPerClass;
-        nicp.ejectDepth = net->params().ejectDepth;
-        nics.push_back(std::make_unique<PlainNic>(
-            n, net->nodePorts(n), nicp, pool));
-        nics.back()->setKernel(&kernel);
-        kernel.add(nics.back().get());
-    }
-
-    double sx = 0;
-    double sy = 0;
-    double sxx = 0;
-    double sxy = 0;
-    int samples = 0;
-    for (NodeId dst = 1; dst < nodes; dst = dst * 2 + 1) {
-        Packet *p = pool.alloc();
-        p->src = 0;
-        p->dst = dst;
-        p->sizeBytes = 32;
-        Cycle start = kernel.now();
-        nics[0]->send(p, start);
-        kernel.run(100000,
-                   [&] { return nics[dst]->arrivalsPending() > 0; });
-        Cycle lat = kernel.now() - start;
-        pool.release(nics[dst]->pollReceive(kernel.now()));
-        int d = net->distance(0, dst);
-        std::printf("probe 0->%d: %d hops, %lu cycles\n", dst, d,
-                    static_cast<unsigned long>(lat));
-        sx += d;
-        sy += lat;
-        sxx += double(d) * d;
-        sxy += double(d) * lat;
-        ++samples;
-    }
-    double denom = samples * sxx - sx * sx;
-    NetModel m;
-    m.latA = denom != 0 ? (samples * sxy - sx * sy) / denom : 0;
-    m.latB = (sy - m.latA * sx) / samples;
-
     int dmax = net->maxDistance();
     double volume = net->volumeFlitsPerNode();
     double bisection = topo.find("mesh") != std::string::npos ||

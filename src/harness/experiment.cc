@@ -4,6 +4,7 @@
 
 #include "sim/audit.hh"
 #include "sim/config.hh"
+#include "sim/json.hh"
 #include "sim/log.hh"
 #include "sim/report.hh"
 
@@ -280,19 +281,17 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             cfg_.congestion, cfg_.numNodes, tracer_.get());
         congestion_->attach(*net_);
         probes.attach(congestion_.get());
-        // Registered after every traffic-moving component so its
-        // per-cycle link-state tiling sees the cycle's final state.
-        kernel_.add(congestion_.get(), "congestion");
         if (audit_)
             audit_->add(
                 makeCongestionConservationChecker(congestion_.get()));
     }
 
     if (!cfg_.metrics.path.empty()) {
-        metrics_ = std::make_unique<Metrics>();
-        wireMetrics();
-        metrics_->startSnapshots(cfg_.metrics);
-        kernel_.setMetrics(metrics_.get());
+        utilMarks_.assign(net_->numChannels(), {0, 0});
+        metrics_ = std::make_unique<Metrics>(
+            cfg_.metrics,
+            [this](JsonWriter &w, Cycle now) { writeMetrics(w, now); });
+        probes.attach(metrics_.get());
     }
 
     cfg_.profile.validate();
@@ -304,177 +303,123 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
 
 Experiment::~Experiment()
 {
-    if (anatomy_)
-        anatomy_->finish(kernel_.now());
-    if (congestion_)
-        congestion_->finish(kernel_.now());
-    if (metrics_)
-        metrics_->finish(kernel_.now());
-    if (tracer_) {
-        // Rendering and writing the trace file is host work outside
-        // the kernel loop, charged to its own profiler phase.
-        Profiler::ScopedPhase emit(profiler_.get(), ProfPhase::traceEmit);
-        tracer_->close();
-    }
+    kernel_.probes().finish(kernel_.now());
     // The members' own teardown may still fire events (pool and NIC
     // releases): no observer may be reachable once one is freed.
     kernel_.probes().detachAll();
 }
 
 void
-Experiment::wireMetrics()
+Experiment::writeMetrics(JsonWriter &w, Cycle now)
 {
-    Metrics &m = *metrics_;
-
-    // One totals pass per snapshot: snapshotJson() samples the gauges
-    // in registration order and the distribution sources after them,
-    // so the first gauge takes the pass and the rest read it.
-    auto tot = std::make_shared<Totals>();
-    auto total = [tot](std::uint64_t Totals::*field) {
-        return [tot, field](Cycle) { return double((*tot).*field); };
+    const Totals tot = totals();
+    auto gauge = [&w](std::string key, double v, int instance = -1) {
+        if (instance >= 0) {
+            key += '[';
+            key += std::to_string(instance);
+            key += ']';
+        }
+        w.field(key, v);
     };
 
+    w.key("gauges");
+    w.beginObject();
     // Aggregate progress counters, sampled at snapshot instants so
     // the JSONL rows show cumulative throughput over time.
-    m.addGauge("nic.packets.sent", -1, [this, tot](Cycle) {
-        *tot = totals();
-        return double(tot->packetsSent);
-    });
-    m.addGauge("nic.packets.delivered", -1, total(&Totals::packetsDelivered));
-    m.addGauge("nic.arrivals.pending", -1, total(&Totals::arrivalsPending));
-    m.addGauge("run.goodput", -1, [tot](Cycle now) {
-        return now > 0 ? tot->wordsDelivered * double(bytesPerWord) /
-                             double(now)
-                       : 0.0;
-    });
-    m.addGauge("proc.busy.fraction", -1, [this, tot](Cycle now) {
-        return now > 0 ? double(tot->procBusy) /
-                             (double(now) * numNodes())
-                       : 0.0;
-    });
+    gauge("nic.packets.sent", tot.packetsSent);
+    gauge("nic.packets.delivered", tot.packetsDelivered);
+    gauge("nic.arrivals.pending", tot.arrivalsPending);
+    gauge("run.goodput", now > 0 ? tot.wordsDelivered *
+                                       double(bytesPerWord) / double(now)
+                                 : 0.0);
+    gauge("proc.busy.fraction",
+          now > 0 ? double(tot.procBusy) / (double(now) * numNodes())
+                  : 0.0);
 
     // Per-channel utilization: fraction of the interval since the
-    // previous snapshot the serializer was busy (delta-based, so a
-    // row shows the interval's load, not the lifetime average).
+    // previous row the serializer was busy (delta-based, so a row
+    // shows the interval's load, not the lifetime average).
+    std::uint64_t requestFlits = 0;
+    std::uint64_t replyFlits = 0;
     for (int c = 0; c < net_->numChannels(); ++c) {
-        Channel *ch = &net_->channelAt(c);
-        auto last =
-            std::make_shared<std::pair<Cycle, std::uint64_t>>(0, 0);
-        m.addGauge("channel.util", c, [ch, last](Cycle now) {
-            std::uint64_t flits = ch->totalFlits();
-            double util = 0.0;
-            if (now > last->first) {
-                double flitCycles = double(flits - last->second) *
-                                    ch->params().cyclesPerFlit;
-                util = flitCycles / double(now - last->first);
-            }
-            *last = {now, flits};
-            return util;
-        });
+        const Channel &ch = net_->channelAt(c);
+        auto &[since, flits] = utilMarks_[c];
+        double util = 0.0;
+        if (now > since)
+            util = double(ch.totalFlits() - flits) *
+                   ch.params().cyclesPerFlit / double(now - since);
+        since = now;
+        flits = ch.totalFlits();
+        gauge("channel.util", util, c);
+        requestFlits += ch.classFlits(NetClass::request);
+        replyFlits += ch.classFlits(NetClass::reply);
     }
-    m.addGauge("channel.flits.request", -1, [this](Cycle) {
-        std::uint64_t n = 0;
-        for (int c = 0; c < net_->numChannels(); ++c)
-            n += net_->channelAt(c).classFlits(NetClass::request);
-        return double(n);
-    });
-    m.addGauge("channel.flits.reply", -1, [this](Cycle) {
-        std::uint64_t n = 0;
-        for (int c = 0; c < net_->numChannels(); ++c)
-            n += net_->channelAt(c).classFlits(NetClass::reply);
-        return double(n);
-    });
+    gauge("channel.flits.request", requestFlits);
+    gauge("channel.flits.reply", replyFlits);
 
     for (int r = 0; r < net_->numRouters(); ++r) {
-        Router *router = &net_->router(r);
-        m.addGauge("router.buffer.occupancy", r, [router](Cycle) {
-            return double(router->bufferedFlits());
-        });
-        m.addGauge("router.flits.switched", r, [router](Cycle) {
-            return double(router->flitsSwitched());
-        });
+        const Router &router = net_->router(r);
+        gauge("router.buffer.occupancy", router.bufferedFlits(), r);
+        gauge("router.flits.switched", router.flitsSwitched(), r);
     }
 
     if (nifdyKind()) {
-        m.addGauge("nifdy.opt.occupancy", -1, total(&Totals::optOccupancy));
-        m.addGauge("nifdy.pool.occupancy", -1, total(&Totals::poolOccupancy));
-        m.addGauge("nifdy.window.unacked", -1, total(&Totals::windowUnacked));
-        m.addGauge("nifdy.acks.sent", -1, total(&Totals::acksSent));
+        gauge("nifdy.opt.occupancy", tot.optOccupancy);
+        gauge("nifdy.pool.occupancy", tot.poolOccupancy);
+        gauge("nifdy.window.unacked", tot.windowUnacked);
+        gauge("nifdy.acks.sent", tot.acksSent);
     }
     if (cfg_.nicKind == NicKind::lossy) {
-        m.addGauge("lossy.retransmissions", -1,
-                   total(&Totals::retransmissions));
-        m.addGauge("lossy.drops", -1, [tot](Cycle) {
-            return double(tot->dropped + tot->corruptDropped);
-        });
-        m.addDistSource("lossy.recovery.latency",
-                        [tot]() { return tot->recovery; });
+        gauge("lossy.retransmissions", tot.retransmissions);
+        gauge("lossy.drops", tot.dropped + tot.corruptDropped);
     }
     if (injector_) {
-        m.addGauge("fault.fabric.drops", -1, [this](Cycle) {
-            return double(injector_->packetsDroppedInFabric());
-        });
-        m.addGauge("fault.corruptions", -1, [this](Cycle) {
-            return double(injector_->packetsCorrupted());
-        });
+        gauge("fault.fabric.drops", injector_->packetsDroppedInFabric());
+        gauge("fault.corruptions", injector_->packetsCorrupted());
     }
     if (nodeDriver_) {
-        m.addGauge("node.crashes", -1,
-                   [this](Cycle) { return double(nodeCrashes_); });
-        m.addGauge("node.restarts", -1,
-                   [this](Cycle) { return double(nodeRestarts_); });
+        gauge("node.crashes", nodeCrashes_);
+        gauge("node.restarts", nodeRestarts_);
         if (nifdyKind()) {
-            m.addGauge("nic.epoch.rejects", -1, total(&Totals::epochRejects));
-            m.addGauge("nifdy.dialog.teardowns", -1,
-                       total(&Totals::dialogTeardowns));
+            gauge("nic.epoch.rejects", tot.epochRejects);
+            gauge("nifdy.dialog.teardowns", tot.dialogTeardowns);
         }
     }
-
     if (!collEngines_.empty()) {
-        m.addGauge("coll.entered", -1, total(&Totals::collEntered));
-        m.addGauge("coll.completed", -1, total(&Totals::collCompleted));
-        m.addGauge("coll.degraded", -1, total(&Totals::collDegraded));
-        m.addGauge("coll.retx", -1, total(&Totals::collRetx));
-        m.addGauge("coll.pruned", -1, total(&Totals::collPruned));
-        m.addGauge("coll.packets", -1, total(&Totals::collPackets));
-        m.addGauge("coll.open", -1, total(&Totals::collOpen));
+        gauge("coll.entered", tot.collEntered);
+        gauge("coll.completed", tot.collCompleted);
+        gauge("coll.degraded", tot.collDegraded);
+        gauge("coll.retx", tot.collRetx);
+        gauge("coll.pruned", tot.collPruned);
+        gauge("coll.packets", tot.collPackets);
+        gauge("coll.open", tot.collOpen);
     }
-
     if (anatomy_) {
-        Anatomy *an = anatomy_.get();
-        for (int i = 0; i < numStallCauses; ++i) {
-            StallCause c = static_cast<StallCause>(i);
-            m.addDistSource(std::string("anatomy.stall.") +
-                                stallCauseSlugs[i],
-                            [an, c]() { return an->dist(c); });
-        }
-        m.addDistSource("anatomy.e2e", [an]() { return an->e2e(); });
-        m.addGauge("anatomy.packets", -1,
-                   [an](Cycle) { return double(an->packets()); });
-        m.addGauge("anatomy.open", -1,
-                   [an](Cycle) { return double(an->openRecords()); });
+        gauge("anatomy.packets", anatomy_->packets());
+        gauge("anatomy.open", anatomy_->openRecords());
     }
-
     if (congestion_) {
-        CongestionObserver *co = congestion_.get();
-        m.addGauge("congestion.windows", -1, [co](Cycle) {
-            return double(co->windowsClosed());
-        });
-        m.addGauge("congestion.episodes.open", -1, [co](Cycle) {
-            return double(co->openEpisodes());
-        });
-        m.addGauge("congestion.episodes.total", -1, [co](Cycle) {
-            return double(co->episodesOpened());
-        });
-        m.addGauge("congestion.cycles.stalled", -1, [co](Cycle) {
-            return double(co->totalStalled());
-        });
-        m.addGauge("congestion.flows", -1, [co](Cycle) {
-            return double(co->numFlows());
-        });
+        gauge("congestion.windows", congestion_->windowsClosed());
+        gauge("congestion.episodes.open", congestion_->openEpisodes());
+        gauge("congestion.episodes.total", congestion_->episodesOpened());
+        gauge("congestion.cycles.stalled", congestion_->totalStalled());
+        gauge("congestion.flows", congestion_->numFlows());
     }
+    w.endObject();
 
-    m.addDistSource("nic.latency", [tot]() { return tot->latency; });
+    w.key("distributions");
+    w.beginObject();
+    if (cfg_.nicKind == NicKind::lossy)
+        Metrics::writeDist(w, "lossy.recovery.latency", tot.recovery);
+    if (anatomy_) {
+        for (int i = 0; i < numStallCauses; ++i)
+            Metrics::writeDist(
+                w, std::string("anatomy.stall.") + stallCauseSlugs[i],
+                anatomy_->dist(static_cast<StallCause>(i)));
+        Metrics::writeDist(w, "anatomy.e2e", anatomy_->e2e());
+    }
+    Metrics::writeDist(w, "nic.latency", tot.latency);
+    w.endObject();
 }
 
 void

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/coll.hh"
@@ -33,6 +34,7 @@ namespace nifdy
 {
 
 class Config;
+class JsonWriter;
 class RunReport;
 
 /** Which network interface each node gets. */
@@ -159,9 +161,6 @@ class Experiment
     /** The packet-lifecycle tracer (nullptr when disabled). */
     Tracer *tracer() { return tracer_.get(); }
 
-    /** The metric registry (nullptr when disabled). */
-    Metrics *metrics() { return metrics_.get(); }
-
     /** The latency-anatomy sink (nullptr when disabled). */
     Anatomy *anatomy() { return anatomy_.get(); }
 
@@ -214,7 +213,7 @@ class Experiment
     /**
      * Machine-wide run counters: every per-node NIC, processor and
      * collective-engine counter, summed once. The report, the stats
-     * table, the metric gauges and the benches all read these sums;
+     * table, the metric rows and the benches all read these sums;
      * a family the run lacks (NIFDY or lossy NICs, collective
      * offload) stays zero.
      */
@@ -303,8 +302,9 @@ class Experiment
 
     Table statsTable(const Totals &tot) const;
 
-    /** Register the standard gauge/distribution set on metrics_. */
-    void wireMetrics();
+    /** Metrics row writer: every gauge, then every distribution,
+     * from one totals() pass at snapshot cycle @p now. */
+    void writeMetrics(JsonWriter &w, Cycle now);
 
     /** NodeFaultDriver handler: crash or restart node @p n. */
     void onNodeFault(NodeId n, bool restart, Cycle now);
@@ -338,14 +338,16 @@ class Experiment
     std::uint64_t nodeCrashes_ = 0;
     std::uint64_t nodeRestarts_ = 0;
     /** Observers on kernel_.probes() (nullptr when disabled). The
-     * destructor flushes them -- the anatomy and congestion close-out
-     * before the tracer, since both render into its buffer -- and
-     * detaches them all before any is freed. */
+     * destructor closes them out (Probes::finish) and detaches them
+     * all before any is freed. */
     std::unique_ptr<Profiler> profiler_;
     std::unique_ptr<Anatomy> anatomy_;
     std::unique_ptr<CongestionObserver> congestion_;
     std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<Metrics> metrics_;
+    /** Per-channel (cycle, flits) at the last metrics row, for the
+     * interval utilization gauges. */
+    std::vector<std::pair<Cycle, std::uint64_t>> utilMarks_;
     std::unique_ptr<Audit> audit_;
 };
 

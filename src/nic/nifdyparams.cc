@@ -2,9 +2,64 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+
+#include "nic/plainnic.hh"
 
 namespace nifdy
 {
+
+LatencyFit
+fitLatency(const std::string &topology, int nodes, int packetBytes,
+           std::uint64_t seed)
+{
+    NetworkParams np;
+    np.numNodes = nodes;
+    np.seed = seed;
+    auto net = makeNetwork(topology, np);
+    Kernel kernel;
+    net->addToKernel(kernel);
+    PacketPool pool;
+    std::vector<std::unique_ptr<PlainNic>> nics;
+    for (NodeId n = 0; n < nodes; ++n) {
+        NicParams nicp;
+        nicp.flitBytes = net->params().flitBytes;
+        nicp.vcsPerClass = net->params().vcsPerClass;
+        nicp.ejectDepth = net->params().ejectDepth;
+        nics.push_back(std::make_unique<PlainNic>(
+            n, net->nodePorts(n), nicp, pool));
+        nics.back()->setKernel(&kernel);
+        kernel.add(nics.back().get());
+    }
+
+    LatencyFit fit;
+    double sx = 0;
+    double sy = 0;
+    double sxx = 0;
+    double sxy = 0;
+    for (NodeId dst = 1; dst < nodes; dst = dst * 2 + 1) {
+        Packet *p = pool.alloc();
+        p->src = 0;
+        p->dst = dst;
+        p->sizeBytes = packetBytes;
+        const Cycle start = kernel.now();
+        nics[0]->send(p, start);
+        kernel.run(200000,
+                   [&] { return nics[dst]->arrivalsPending() > 0; });
+        pool.release(nics[dst]->pollReceive(kernel.now()));
+        const LatencyProbe &pr = fit.probes.emplace_back(LatencyProbe{
+            dst, net->distance(0, dst), kernel.now() - start});
+        sx += pr.hops;
+        sy += pr.cycles;
+        sxx += double(pr.hops) * pr.hops;
+        sxy += double(pr.hops) * pr.cycles;
+    }
+    const double n = fit.probes.size();
+    const double denom = n * sxx - sx * sx;
+    fit.model.latA = denom != 0 ? (n * sxy - sx * sy) / denom : 0;
+    fit.model.latB = (sy - fit.model.latA * sx) / n;
+    return fit;
+}
 
 double
 latency(const NetModel &m, int hops)

@@ -2,11 +2,16 @@
  * @file
  * The paper's Section 2.4 analytic model for choosing NIFDY
  * parameters from network characteristics: round-trip latency,
- * pairwise bandwidth bounds, and bulk window sizing.
+ * pairwise bandwidth bounds, and bulk window sizing -- and the
+ * unloaded-latency probe that measures the model's T_lat(d) fit.
  */
 
 #ifndef NIFDY_NIC_NIFDYPARAMS_HH
 #define NIFDY_NIC_NIFDYPARAMS_HH
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "nic/nifdy.hh"
 
@@ -24,6 +29,31 @@ struct NetModel
     double latA = 0;
     double latB = 0;
 };
+
+/** One unloaded probe: node 0 sent one packet to @p dst. */
+struct LatencyProbe
+{
+    NodeId dst = 0;
+    int hops = 0;     //!< network distance 0 -> dst
+    Cycle cycles = 0; //!< send to arrival
+};
+
+/** A measured T_lat(d) fit and the probes behind it. */
+struct LatencyFit
+{
+    /** Table-1 defaults, with latA and latB fitted. */
+    NetModel model;
+    std::vector<LatencyProbe> probes;
+};
+
+/**
+ * Measure T_lat(d) on a bare @p topology network of @p nodes with
+ * protocol-free NICs: one @p packetBytes packet from node 0 to each
+ * of nodes 1, 3, 7, ... in turn, through an otherwise empty
+ * network, then the least-squares fit T_lat(d) = latA * d + latB.
+ */
+LatencyFit fitLatency(const std::string &topology, int nodes,
+                      int packetBytes, std::uint64_t seed);
 
 /** T_lat(d): one-way packet latency at distance d (Equation fit). */
 double latency(const NetModel &m, int hops);

@@ -11,8 +11,8 @@
  * Audit object is a registry of InvariantChecker objects, attached
  * to an experiment's probe bus (sim/probes.hh). The bus feeds it the
  * lifecycle events of PacketPool, Router, FaultInjector, the NICs
- * and the collective engines, and the Kernel runs its polled checks
- * once per cycle.
+ * and the collective engines, and its end-of-cycle slot runs the
+ * polled checks once per cycle.
  *
  * Cost model: while no Audit is attached, each event costs the bus's
  * one inlined test. An Audit is attached by the `audit` experiment
@@ -197,8 +197,8 @@ class Audit
     std::uint64_t nodeRestarts() const { return nodeRestarts_; }
     //! @}
 
-    /** Run every checker's polled check; the Kernel calls this after
-     * all components have stepped cycle @p now. */
+    /** Run every checker's polled check; Probes::endCycle calls this
+     * after all components have stepped cycle @p now. */
     void endCycle(Cycle now);
 
     /** Run end-of-run checks (call once the simulation drained). */

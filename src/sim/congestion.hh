@@ -3,14 +3,15 @@
  * Congestion observatory: per-link stall maps, per-flow progress
  * tracking, and victim/aggressor attribution.
  *
- * The CongestionObserver is a passive Steppable registered after
- * every traffic-moving component, so it sees each cycle's final link
- * state. Per link it tiles every observed cycle into exactly one of
- * three states -- busy (the serializer is occupied at this cycle),
- * stalled (idle, but some upstream component wanted to push and was
- * refused: no credits, serializer contention earlier in the cycle,
- * or a store-and-forward tail wait), or idle (no demand) -- giving
- * the per-window conservation invariant
+ * The CongestionObserver is a probe-bus sink whose step() runs in
+ * the bus's end-of-cycle slot, after every component has stepped,
+ * so it sees each cycle's final link state. Per link it tiles every
+ * observed cycle into exactly one of three states -- busy (the
+ * serializer is occupied at this cycle), stalled (idle, but some
+ * upstream component wanted to push and was refused: no credits,
+ * serializer contention earlier in the cycle, or a store-and-forward
+ * tail wait), or idle (no demand) -- giving the per-window
+ * conservation invariant
  *
  *     busy + idle + stalled == window length
  *
@@ -49,7 +50,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/steppable.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
 
@@ -128,7 +128,7 @@ struct CongestionEpisode
  * The observatory sink. finish() closes still-open episodes and
  * stops recording.
  */
-class CongestionObserver : public Steppable
+class CongestionObserver
 {
   public:
     /** Cumulative and current-window accounting for one link. */
@@ -208,8 +208,9 @@ class CongestionObserver : public Steppable
                         const std::vector<std::string> &labels,
                         int flitBytes);
 
-    /** Per-cycle link-state tiling; runs after every component. */
-    void step(Cycle now) override;
+    /** Per-cycle link-state tiling; runs after every component
+     * (Probes::endCycle). */
+    void step(Cycle now);
 
     //! @name Recording (called through the probe bus)
     //! @{

@@ -8,7 +8,9 @@
  * cycle, so the order in which components step within one cycle is
  * immaterial -- this mirrors the paper's fully synchronous simulator
  * ("Each cycle is simulated explicitly and synchronously by all
- * objects").
+ * objects"). Observers are not components: they watch the loop
+ * through the kernel's probe bus (sim/probes.hh), whose endCycle()
+ * slot runs once per cycle after every component has stepped.
  */
 
 #ifndef NIFDY_SIM_KERNEL_HH
@@ -19,13 +21,28 @@
 #include <vector>
 
 #include "sim/probes.hh"
-#include "sim/steppable.hh"
 #include "sim/types.hh"
 
 namespace nifdy
 {
 
-class Metrics;
+/** Anything advanced once per cycle by the Kernel. */
+class Steppable
+{
+  public:
+    virtual ~Steppable() = default;
+
+    /** Advance one cycle. @param now the cycle being executed. */
+    virtual void step(Cycle now) = 0;
+
+    /**
+     * Component-class label for the host-cost profiler's roll-up
+     * (sim/profile.hh): "router", "nifdy-nic", "plain-nic", "proc",
+     * "fault-driver". Must be a string constant, stable for the
+     * component's lifetime.
+     */
+    virtual const char *profileClass() const { return "other"; }
+};
 
 /**
  * The simulation engine: a registry of Steppable components and a
@@ -75,21 +92,13 @@ class Kernel
     /**
      * The experiment's probe bus (sim/probes.hh). Components get a
      * pointer to it at wiring time; whoever owns the observers
-     * attaches them here and detaches them before freeing them. The
-     * attached audit's polled checks run at the end of every cycle,
-     * after all components have stepped; while a profiler is
-     * attached, step() takes the profiled path.
+     * attaches them here and detaches them before freeing them. Its
+     * endCycle() slot runs at the end of every cycle, after all
+     * components have stepped; while a profiler is attached, step()
+     * takes the profiled path.
      */
     Probes &probes() { return probes_; }
     const Probes &probes() const { return probes_; }
-
-    /**
-     * Attach a metric registry (non-owning, may be nullptr): its
-     * snapshot clock ticks at the end of every cycle, after the
-     * audit's polled checks.
-     */
-    void setMetrics(Metrics *metrics) { metrics_ = metrics; }
-    Metrics *metrics() const { return metrics_; }
 
   private:
     /** Build and raise the deadlock-watchdog panic message (cold:
@@ -107,7 +116,6 @@ class Kernel
     std::vector<Steppable *> objects_;
     std::vector<std::string> names_;
     Probes probes_;
-    Metrics *metrics_ = nullptr;
 };
 
 } // namespace nifdy

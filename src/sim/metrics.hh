@@ -1,22 +1,20 @@
 /**
  * @file
- * Metric registry with periodic JSONL snapshots.
+ * Periodic JSONL metric snapshots.
  *
- * A Metrics object holds two registration kinds:
+ * A Metrics object owns the snapshot file and its clock. Each row is
+ * one self-contained JSON line -- a time series diffable across
+ * runs. The object frames the row (schema, cycle stamp, the empty
+ * counters object) and hands the body to its owner's row writer,
+ * which samples every gauge and distribution at that instant, so
+ * sampling cost is paid per snapshot, never per cycle. Distributions
+ * are exported with p50/p95/p99 from the power-of-two histogram
+ * buckets (writeDist()).
  *
- *  - gauges: named callbacks sampled only at snapshot instants, in
- *    registration order (per-channel utilization, OPT/window
- *    occupancy, buffer depth); registration is cheap and sampling
- *    cost is paid per snapshot, never per cycle;
- *  - distribution sources: callbacks producing a Distribution on
- *    demand (e.g. packet latency merged across every NIC), exported
- *    with p50/p95/p99 from the power-of-two histogram buckets.
- *
- * When snapshotting is started (metrics.path / metrics.interval
- * knobs) the Kernel calls endCycle() once per cycle after every
- * component (Kernel::setMetrics) and
- * each due snapshot appends one self-contained JSON line to the
- * output file -- a JSONL time series diffable across runs.
+ * When snapshotting is on (metrics.path / metrics.interval knobs)
+ * the object sits on the probe bus: Probes::endCycle() ticks its
+ * clock once per cycle after every component, and Probes::finish()
+ * writes the last row.
  */
 
 #ifndef NIFDY_SIM_METRICS_HH
@@ -26,13 +24,14 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace nifdy
 {
+
+class JsonWriter;
 
 /** Runtime knobs (CLI: metrics.path / metrics.interval). */
 struct MetricsConfig
@@ -49,66 +48,39 @@ struct MetricsConfig
 class Metrics
 {
   public:
-    Metrics();
+    /** Writes one row's "gauges" and "distributions" members for
+     * the snapshot at the given cycle. */
+    using RowWriter = std::function<void(JsonWriter &, Cycle)>;
+
+    /** Open @p cfg's file, named through uniquifyPath(), and arm
+     * periodic snapshots; @p row fills every row. */
+    Metrics(const MetricsConfig &cfg, RowWriter row);
     ~Metrics();
     Metrics(const Metrics &) = delete;
     Metrics &operator=(const Metrics &) = delete;
 
-    /**
-     * Register a gauge. @p instance distinguishes replicas of one
-     * component kind (router 3, channel 17, ...); the exported key
-     * is "name[instance]", or just "name" when instance < 0. The
-     * callback runs at snapshot time only.
-     */
-    void addGauge(const std::string &name, int instance,
-                  std::function<double(Cycle)> fn);
-
-    /** Register a distribution source, exported with count / mean /
-     * min / max / p50 / p95 / p99 at each snapshot. */
-    void addDistSource(const std::string &name,
-                       std::function<Distribution()> fn);
-
-    /** Open the JSONL file, named through uniquifyPath(), and arm
-     * periodic snapshots. */
-    void startSnapshots(const MetricsConfig &cfg);
-    bool snapshotting() const { return writer_ != nullptr; }
-
-    /** Kernel slot: takes a snapshot when one is due. */
+    /** End-of-cycle slot: takes a snapshot when one is due. */
     void endCycle(Cycle now);
 
     /** Final snapshot (if the last interval is partially elapsed)
-     * and file close. Idempotent; the destructor calls it. */
+     * and file close. Idempotent. */
     void finish(Cycle now);
 
-    /** One snapshot rendered as a single JSON line (no trailing
-     * newline); also usable without a file for tests/reports. */
-    std::string snapshotJson(Cycle now) const;
-
-    std::uint64_t snapshotsTaken() const { return snapshots_; }
+    /** Write @p d as member @p key: count / mean / min / max / p50 /
+     * p95 / p99. */
+    static void writeDist(JsonWriter &w, const std::string &key,
+                          const Distribution &d);
 
   private:
-    struct Gauge
-    {
-        std::string key;
-        std::function<double(Cycle)> fn;
-    };
-    struct DistSource
-    {
-        std::string key;
-        std::function<Distribution()> fn;
-    };
-
     void takeSnapshot(Cycle now);
 
-    std::vector<Gauge> gauges_;
-    std::vector<DistSource> distSources_;
     MetricsConfig cfg_;
+    RowWriter row_;
     /** Opaque ofstream (kept out of the header). */
     struct Writer;
     std::unique_ptr<Writer> writer_;
     Cycle nextSnapshot_ = 0;
     Cycle lastSnapshot_ = neverCycle;
-    std::uint64_t snapshots_ = 0;
 };
 
 } // namespace nifdy

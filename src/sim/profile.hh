@@ -7,11 +7,11 @@
  * itself, as the measurement basis for the "make the kernel fast"
  * roadmap item. It attributes host nanoseconds to every registered
  * Steppable -- rolled up by component class (router / nifdy-nic /
- * plain-nic / proc / fault-driver) and by kernel phase (audit poll,
- * metrics snapshot, trace emit, kernel self time) -- and keeps an
- * idle-work account: the fraction of step() calls that made no
- * observable progress per component, the number that quantifies the
- * idle-skipping headroom directly.
+ * plain-nic / proc / fault-driver) and by kernel phase (the probe
+ * bus's end-of-cycle slot, trace emit, kernel self time) -- and
+ * keeps an idle-work account: the fraction of step() calls that
+ * made no observable progress per component, the number that
+ * quantifies the idle-skipping headroom directly.
  *
  * Cost model: the profiler is attached to the experiment's probe bus
  * (sim/probes.hh) but takes no events; the kernel's hot loop pays
@@ -23,7 +23,7 @@
  * ("timed cycles"), bounding the overhead.
  *
  * Timed cycles use a chained clock: one read at loop entry, one
- * after each component, one after each end-of-cycle phase, one at
+ * after each component, one after the end-of-cycle slot, one at
  * loop exit. Each delta is charged to exactly one component or
  * phase, so the per-component and per-phase nanoseconds telescope to
  * the measured loop time *exactly* -- the conservation invariant
@@ -55,25 +55,23 @@ class RunReport;
 class Steppable;
 
 /**
- * End-of-cycle kernel phases (and the out-of-loop trace emit)
+ * The kernel's end-of-cycle slot (and the out-of-loop trace emit)
  * charged separately from the per-component step costs. `self` is
  * the kernel's own loop overhead on a timed cycle: idle bookkeeping,
  * cycle advance, and the profiler's final clock read.
  */
 enum class ProfPhase : int
 {
-    audit,     //!< invariant-audit polled checks (Audit::endCycle)
-    metrics,   //!< metric snapshot clock (Metrics::endCycle)
+    probes,    //!< the probe bus's end-of-cycle slot (Probes::endCycle)
     traceEmit, //!< trace buffer rendering + write (Tracer::close)
     self       //!< kernel loop overhead outside any component
 };
 
-inline constexpr int numProfPhases = 4;
+inline constexpr int numProfPhases = 3;
 
 /** Short slugs, report-key suffixes ("host.phase.<slug>.ns"). */
 inline constexpr const char *profPhaseSlugs[numProfPhases] = {
-    "audit",
-    "metrics",
+    "probes",
     "trace",
     "self",
 };
@@ -127,7 +125,7 @@ class Profiler
     void componentTimed(std::size_t i, bool progressed);
     /** Open the timed-cycle clock chain. */
     void beginTimed();
-    /** Close the open segment into @p ph (end-of-cycle slots). */
+    /** Close the open segment into @p ph (the end-of-cycle slot). */
     void phaseTimed(ProfPhase ph);
     /** Close the chain: residue -> self, total -> loop time. */
     void endTimed();
@@ -220,7 +218,7 @@ class Profiler
     std::uint64_t cycles_ = 0;
     std::uint64_t timedCycles_ = 0;
     std::uint64_t loopNs_ = 0;
-    std::uint64_t phaseNs_[numProfPhases] = {0, 0, 0, 0};
+    std::uint64_t phaseNs_[numProfPhases] = {0, 0, 0};
     /** Timed-cycle clock chain: loop entry and last segment close. */
     std::uint64_t chainBegin_ = 0;
     std::uint64_t chainLast_ = 0;
@@ -229,8 +227,8 @@ class Profiler
 /**
  * Per-cycle hot-path pieces, defined out of class so nifdylint's
  * hot-alloc rule covers them: pure counter arithmetic on storage
- * preallocated by attach(), no heap traffic (verified under
- * NIFDY_ALLOCGATE by tests/test_profile.cc).
+ * preallocated by attach(), no heap traffic (verified by the
+ * allocation gate in tests/test_profile.cc).
  */
 
 NIFDY_HOT inline void

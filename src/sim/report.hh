@@ -90,7 +90,7 @@ class RunReport
     /**
      * The JSON document. @p includeProfile false omits the
      * nondeterministic "profile" section -- the form byte-identity
-     * comparisons (tests, CI determinism job) must use.
+     * comparisons (tests, CI's byte-identity steps) must use.
      */
     std::string json(bool includeProfile = true) const;
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability layer (DESIGN.md section 8): the JSON
  * writer, run reports, the packet-lifecycle tracer (sampling, event
- * budget, non-perturbation) and periodic metric snapshots.
+ * budget) and periodic metric snapshots. Non-perturbation is the
+ * observer contract's (tests/test_probes.cc).
  */
 
 #include <gtest/gtest.h>
@@ -165,21 +166,6 @@ TEST(Telemetry, EventBudgetBoundsTheBuffer)
     runSmall(cfg, nullptr, &recorded, &dropped);
     EXPECT_LE(recorded, 64u);
     EXPECT_GT(dropped, 0u);
-}
-
-TEST(Telemetry, TracingDoesNotPerturbTheRun)
-{
-    ExperimentConfig plain;
-    std::uint64_t base = runSmall(plain);
-
-    ExperimentConfig traced;
-    traced.trace.path = ::testing::TempDir() + "nifdy_t4_trace.json";
-    EXPECT_EQ(runSmall(traced), base);
-
-    ExperimentConfig sampled;
-    sampled.trace.path = ::testing::TempDir() + "nifdy_t5_trace.json";
-    sampled.trace.sampleRate = 0.25;
-    EXPECT_EQ(runSmall(sampled), base);
 }
 
 TEST(Telemetry, MetricsSnapshotsAreJsonl)

@@ -55,7 +55,7 @@ CAUSES = [
 LABEL = dict(CAUSES)
 
 # Mirrors profPhaseSlugs in src/sim/profile.hh (checked likewise).
-PHASES = ["audit", "metrics", "trace", "self"]
+PHASES = ["probes", "trace", "self"]
 
 
 def fail(msg):

@@ -17,7 +17,7 @@ def check(ctx):
             if "AddGlobalTestEnvironment" in line:
                 continue  # gtest takes ownership by contract
             if "operator new" in line:
-                continue  # the allocgate interposer defines these
+                continue  # tests/allocgate.cc's interposer defines these
             violations.append(Violation(
                 path, lineno, "no-naked-new",
                 "naked `new`; use std::make_unique or a container"))

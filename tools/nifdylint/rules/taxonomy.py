@@ -3,8 +3,8 @@ causes must follow the documented taxonomy.
 
   telemetry-taxonomy -- every metric / trace-event name emitted as a
                         string literal in src/, bench/ or examples/
-                        (trace.hh ev:: constants, and the first
-                        argument of addGauge/addDistSource/addMetric/
+                        (trace.hh ev:: constants, and the name
+                        argument of gauge/writeDist/addMetric/
                         counter/distribution/timeSeries) must follow
                         the component.noun[.verb] convention and be
                         listed in the DESIGN.md section 8 taxonomy
@@ -22,11 +22,13 @@ from ..common import (Violation, cpp_files,
                       strip_comments_and_strings)
 
 TAXONOMY_RE = re.compile(r"^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*){1,2}$")
-# A complete string literal passed as the (first) name argument of a
-# metric/stat sink; partial literals built with `+` do not match.
+# A complete string literal passed as the name argument of a
+# metric/stat sink -- the first argument, or the second after a
+# writer (writeDist(w, "name", ...)); partial literals built with `+`
+# do not match.
 TELEMETRY_CALL_RE = re.compile(
-    r"\b(?:addGauge|addDistSource|addMetric|counter|distribution|"
-    r'timeSeries)\s*\(\s*"([a-z0-9.]+)"\s*[,)]')
+    r"\b(?:gauge|writeDist|addMetric|counter|distribution|"
+    r'timeSeries)\s*\(\s*(?:\w+\s*,\s*)?"([a-z0-9.]+)"\s*[,)]')
 # ev:: taxonomy constants in src/sim/trace.hh.
 TRACE_EV_RE = re.compile(
     r'inline\s+constexpr\s+const\s+char\s*\*\s*\w+\s*=\s*"([^"]+)"')

@@ -134,12 +134,14 @@ def test_steppable_tested_negative():
 def test_telemetry_taxonomy_positive():
     vs = run_rule("telemetry-taxonomy", {
         "src/a.cc": 'counter("nic.undocumented", 1);\n'
-                    'counter("flat", 1);\n',
+                    'counter("flat", 1);\n'
+                    'writeDist(w, "nic.unlisted", d);\n',
         "DESIGN.md": "## 8. Telemetry\n| `nic.pkts` |\n",
     })
     msgs = [v.message for v in vs]
     assert any("nic.undocumented" in m for m in msgs)
     assert any("component.noun" in m for m in msgs)
+    assert any("nic.unlisted" in m for m in msgs)
 
 
 def test_telemetry_taxonomy_negative():
