@@ -313,6 +313,12 @@ NifdyNic::nextToInject(NetClass cls, Cycle now)
 }
 
 NIFDY_HOT bool
+NifdyNic::injectQueued() const
+{
+    return !ackQueue_.empty() || !sendPool_.empty() || out_.closePending;
+}
+
+NIFDY_HOT bool
 NifdyNic::canAccept(const Packet &pkt)
 {
     if (pkt.type == PacketType::ack)

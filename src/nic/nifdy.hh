@@ -185,6 +185,8 @@ class NifdyNic : public Nic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
+    /** An ack, a pooled send or a dialog close is queued. */
+    bool injectQueued() const override;
     bool canAccept(const Packet &pkt) override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;
     void onProcessorAccept(Packet *pkt, Cycle now) override;

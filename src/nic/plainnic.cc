@@ -59,6 +59,12 @@ BufferedNic::nextToInject(NetClass cls, Cycle now)
     return pkt;
 }
 
+NIFDY_HOT bool
+BufferedNic::injectQueued() const
+{
+    return !sendQueue_.empty();
+}
+
 void
 BufferedNic::onCrash(Cycle now)
 {

@@ -41,6 +41,8 @@ class BufferedNic : public Nic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
+    /** The send queue holds a packet. */
+    bool injectQueued() const override;
     bool canAccept(const Packet &pkt) override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;
     void onCrash(Cycle now) override;

@@ -214,6 +214,12 @@ LossyNifdyNic::nextToInject(NetClass cls, Cycle now)
     return NifdyNic::nextToInject(cls, now);
 }
 
+NIFDY_HOT bool
+LossyNifdyNic::injectQueued() const
+{
+    return !retxQueue_.empty() || NifdyNic::injectQueued();
+}
+
 NIFDY_HOT void
 LossyNifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
 {

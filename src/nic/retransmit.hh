@@ -97,6 +97,8 @@ class LossyNifdyNic : public NifdyNic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
+    /** NIFDY's queues, or a retransmission. */
+    bool injectQueued() const override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;
     void onDataInjected(Packet *pkt, Cycle now) override;
     void onAckProcessed(const Packet &ack, Cycle now) override;

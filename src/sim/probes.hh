@@ -69,6 +69,7 @@ class Probes
 
     Tracer *tracer() const { return tracer_; }
     Anatomy *anatomy() const { return anatomy_; }
+    CongestionObserver *congestion() const { return congestion_; }
     Profiler *profiler() const { return profiler_; }
 
     /** An observer that works in endCycle() is attached. */

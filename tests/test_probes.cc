@@ -66,6 +66,16 @@ const std::vector<Scenario> workloads = {
      {"topology=fattree", "nodes=16", "seed=3"},
      "heavy",
      10000},
+    // Dateline VC masks, credit-gated allocation and time-sliced
+    // serializers: the router's fast path (parked heads, skipped
+    // outputs) against the full scan the anatomy and the congestion
+    // observatory get.
+    {"heavy-torus", {"topology=torus2d", "nodes=16"}, "heavy", 10000},
+    {"heavy-adaptive-mesh",
+     {"topology=mesh2d-adaptive", "nodes=16"},
+     "heavy",
+     10000},
+    {"heavy-cm5", {"topology=cm5", "nodes=16"}, "heavy", 20000},
     {"incast-mesh", {"topology=mesh2d", "nodes=16"}, "incast", 20000},
     {"lossy-cshift",
      {"nodes=16", "nic=lossy", "fault.dropProb=0.001", "seed=7"},
