@@ -14,7 +14,7 @@ ButterflyRouter::ButterflyRouter(int id, const RouterParams &rp,
 {
 }
 
-bool
+NIFDY_HOT bool
 ButterflyRouter::route(int inPort, Packet &pkt,
                        std::vector<int> &candidates)
 {
@@ -22,12 +22,12 @@ ButterflyRouter::route(int inPort, Packet &pkt,
     int dir = net_.routeDigit(pkt.dst, stage_);
     if (stage_ == net_.stages() - 1) {
         // Final stage: ejection ports are indexed by the last digit.
-        candidates.push_back(dir);
+        candidates.push_back(dir); // nifdy:alloc-ok(router scratch keeps its capacity)
         return false;
     }
     int d = net_.dilation();
     for (int dup = 0; dup < d; ++dup)
-        candidates.push_back(dir * d + dup);
+        candidates.push_back(dir * d + dup); // nifdy:alloc-ok(router scratch keeps its capacity)
     return d > 1;
 }
 

@@ -13,7 +13,7 @@ FatTreeRouter::FatTreeRouter(int id, const RouterParams &rp,
 {
 }
 
-bool
+NIFDY_HOT bool
 FatTreeRouter::route(int inPort, Packet &pkt,
                      std::vector<int> &candidates)
 {
@@ -25,13 +25,13 @@ FatTreeRouter::route(int inPort, Packet &pkt,
         // Descend: the down port is the destination's digit at this
         // level (child subtrees cover span/k nodes each).
         long digit = (pkt.dst - base) / (span / k);
-        candidates.push_back(static_cast<int>(digit));
+        candidates.push_back(static_cast<int>(digit)); // nifdy:alloc-ok(router scratch keeps its capacity)
         return false;
     }
     // Ascend: any parent will do; let the switch pick adaptively.
     panic_if(upPorts_ == 0, "fat tree top router can't ascend");
     for (int q = 0; q < upPorts_; ++q)
-        candidates.push_back(k + q);
+        candidates.push_back(k + q); // nifdy:alloc-ok(router scratch keeps its capacity)
     return true;
 }
 

@@ -20,40 +20,37 @@ constexpr std::uint32_t escapedBit = 1u << 16;
 int
 MeshRouter::dorPort(const Packet &pkt) const
 {
-    const std::vector<int> dst = net_.coordOf(pkt.dst);
     for (int d = 0; d < net_.numDims(); ++d) {
-        if (coord_[d] == dst[d])
+        int want = net_.coord(pkt.dst, d);
+        if (coord_[d] == want)
             continue;
-        return dst[d] > coord_[d] ? net_.portPlus(d)
-                                  : net_.portMinus(d);
+        return want > coord_[d] ? net_.portPlus(d) : net_.portMinus(d);
     }
     return net_.ejectPort();
 }
 
-bool
+NIFDY_HOT bool
 MeshRouter::route(int inPort, Packet &pkt, std::vector<int> &candidates)
 {
     (void)inPort;
     if (net_.adaptive() && !(pkt.routeScratch & escapedBit)) {
         // Duato-style minimal adaptive routing: any productive
         // direction; the switch picks by downstream credit.
-        const std::vector<int> dst = net_.coordOf(pkt.dst);
         for (int d = 0; d < net_.numDims(); ++d) {
-            if (coord_[d] == dst[d])
+            int want = net_.coord(pkt.dst, d);
+            if (coord_[d] == want)
                 continue;
-            candidates.push_back(dst[d] > coord_[d]
-                                     ? net_.portPlus(d)
-                                     : net_.portMinus(d));
+            candidates.push_back( // nifdy:alloc-ok(router scratch keeps its capacity)
+                want > coord_[d] ? net_.portPlus(d) : net_.portMinus(d));
         }
         if (candidates.empty())
-            candidates.push_back(net_.ejectPort());
+            candidates.push_back(net_.ejectPort()); // nifdy:alloc-ok(router scratch keeps its capacity)
         return candidates.size() > 1;
     }
 
-    const std::vector<int> dst = net_.coordOf(pkt.dst);
     for (int d = 0; d < net_.numDims(); ++d) {
         int cur = coord_[d];
-        int want = dst[d];
+        int want = net_.coord(pkt.dst, d);
         if (cur == want)
             continue;
         int k = net_.dimSize(d);
@@ -70,11 +67,11 @@ MeshRouter::route(int inPort, Packet &pkt, std::vector<int> &candidates)
             if (crossing)
                 pkt.routeScratch |= (1u << d);
         }
-        candidates.push_back(plus ? net_.portPlus(d)
-                                  : net_.portMinus(d));
+        candidates.push_back( // nifdy:alloc-ok(router scratch keeps its capacity)
+            plus ? net_.portPlus(d) : net_.portMinus(d));
         return false;
     }
-    candidates.push_back(net_.ejectPort());
+    candidates.push_back(net_.ejectPort()); // nifdy:alloc-ok(router scratch keeps its capacity)
     return false;
 }
 
@@ -122,6 +119,11 @@ MeshNetwork::MeshNetwork(const NetworkParams &params) : Network(params)
              "mesh dims do not multiply to numNodes");
     fatal_if(params_.wrap && params_.vcsPerClass < 2,
              "torus requires >= 2 VCs per class (dateline)");
+    int stride = 1;
+    for (int s : params_.dims) {
+        stride_.push_back(stride);
+        stride *= s;
+    }
     build();
 }
 
@@ -140,10 +142,8 @@ std::vector<int>
 MeshNetwork::coordOf(NodeId n) const
 {
     std::vector<int> c(numDims());
-    for (int d = 0; d < numDims(); ++d) {
-        c[d] = n % params_.dims[d];
-        n /= params_.dims[d];
-    }
+    for (int d = 0; d < numDims(); ++d)
+        c[d] = coord(n, d);
     return c;
 }
 

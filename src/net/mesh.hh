@@ -57,6 +57,12 @@ class MeshNetwork : public Network
 
     std::vector<int> coordOf(NodeId n) const;
     NodeId nodeOf(const std::vector<int> &coord) const;
+    /** Coordinate @p d of node @p n (coordOf(n)[d], without the
+     * vector: routers ask on every route()). */
+    int coord(NodeId n, int d) const
+    {
+        return n / stride_[d] % params_.dims[d];
+    }
 
     /** Port index helpers. */
     int portPlus(int d) const { return 2 * d; }
@@ -66,6 +72,9 @@ class MeshNetwork : public Network
 
   private:
     void build();
+
+    /** Nodes per step of each dimension's coordinate. */
+    std::vector<int> stride_;
 };
 
 } // namespace nifdy

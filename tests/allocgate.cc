@@ -9,9 +9,10 @@
  * nifdylint checks that statically inside NIFDY_HOT regions; this
  * file checks it dynamically. It replaces the global operator
  * new/delete family with counting versions, then counts the heap
- * allocations of four warmed-up windows: the fig2 heavy hot loop,
- * the same loop under the armed profiler, the offloaded collective
- * steady state and the congestion observatory's steady state.
+ * allocations of six warmed-up windows: the fig2 heavy hot loop,
+ * the same loop on a torus and on the adaptive mesh, the fat tree's
+ * loop under the armed profiler, the offloaded collective steady
+ * state and the congestion observatory's steady state.
  *
  * It builds into a test binary of its own, nifdy_allocgate_tests. A
  * replacement operator new serves every allocation in the binary
@@ -22,7 +23,7 @@
  *
  * The gate measures the unaudited loop. NIFDY_AUDIT=1 attaches the
  * audit to every experiment, and its lifecycle checker adds a map
- * node for each new packet id by design, so the three experiment
+ * node for each new packet id by design, so the five experiment
  * windows skip under it.
  */
 
@@ -218,15 +219,16 @@ expectNoAllocations(const char *what, Window &&window)
                         "pre-size to their high-water mark";
 }
 
-/** The bench_fig2_heavy shape at unit-test size, heavy synthetic
- * traffic through the best-parameter NIFDY unit, after a warmup
- * that grows every ring to its high-water mark, brings the packet
- * pool to steady state and fills the protocol maps. */
+/** The bench_fig2_heavy shape at unit-test size on @p topology,
+ * heavy synthetic traffic through the best-parameter NIFDY unit,
+ * after @p warmup cycles that grow every ring to its high-water
+ * mark, bring the packet pool to steady state and fill the protocol
+ * maps. */
 std::unique_ptr<Experiment>
-warmFig2Heavy(bool profiled)
+warmHeavy(const std::string &topology, Cycle warmup, bool profiled)
 {
     Config conf;
-    conf.set("topology", std::string("fattree"));
+    conf.set("topology", topology);
     conf.set("nodes", 16L);
     conf.set("nic", std::string("nifdy"));
     conf.set("seed", 3L);
@@ -241,7 +243,7 @@ warmFig2Heavy(bool profiled)
                                 exp->proc(n), exp->msg(n),
                                 exp->barrier(), exp->numNodes(),
                                 SyntheticParams::heavy(), cfg.seed));
-    exp->runFor(20000);
+    exp->runFor(warmup);
     return exp;
 }
 
@@ -249,8 +251,30 @@ TEST(Allocgate, SteadyStateHotLoopDoesNotAllocate)
 {
     if (Audit::envEnabled())
         GTEST_SKIP() << auditedSkip;
-    auto exp = warmFig2Heavy(false);
+    auto exp = warmHeavy("fattree", 20000, false);
     expectNoAllocations("the post-warmup hot loop",
+                        [&] { exp->runFor(5000); });
+}
+
+/** Mesh routers compute the destination's coordinates on every
+ * route() call. The mesh windows warm up longer: a ring on a rarely
+ * saturated link reaches its high-water mark late. */
+TEST(Allocgate, TorusHotLoopDoesNotAllocate)
+{
+    if (Audit::envEnabled())
+        GTEST_SKIP() << auditedSkip;
+    auto exp = warmHeavy("torus2d", 80000, false);
+    expectNoAllocations("the torus hot loop", [&] { exp->runFor(5000); });
+}
+
+/** The same with credit-gated adaptive allocation, which retries a
+ * blocked head every cycle. */
+TEST(Allocgate, AdaptiveMeshHotLoopDoesNotAllocate)
+{
+    if (Audit::envEnabled())
+        GTEST_SKIP() << auditedSkip;
+    auto exp = warmHeavy("mesh2d-adaptive", 80000, false);
+    expectNoAllocations("the adaptive mesh hot loop",
                         [&] { exp->runFor(5000); });
 }
 
@@ -260,7 +284,7 @@ TEST(Profile, ArmedSteadyStateHotLoopDoesNotAllocate)
 {
     if (Audit::envEnabled())
         GTEST_SKIP() << auditedSkip;
-    auto exp = warmFig2Heavy(true);
+    auto exp = warmHeavy("fattree", 20000, true);
     expectNoAllocations("the armed profiler hot path",
                         [&] { exp->runFor(5000); });
 }

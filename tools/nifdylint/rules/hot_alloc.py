@@ -3,7 +3,8 @@
   hot-required -- the per-cycle hot path must be marked: every
                   out-of-class definition of a Steppable `step()`,
                   `Kernel::run`, the channel flit/credit push/pop
-                  family (src/net/) and the NIC inject/eject family
+                  family and every router's `route()` (src/net/)
+                  and the NIC inject/eject family
                   (src/nic/) must carry the NIFDY_HOT macro
                   (src/sim/types.hh) on its definition. The macro is
                   both a compiler hint and the anchor this linter
@@ -37,7 +38,7 @@ HOT_FAMILIES = (
     (None, {"step"}),
     (None, {"run"}),  # Kernel::run (the only `run` in src/)
     ("net", {"push", "pop", "canPush", "hasFlit", "pushCredit",
-             "popCredit", "hasCredit"}),
+             "popCredit", "hasCredit", "route"}),
     ("nic", {"nextToInject", "onPacketDelivered", "pumpInject",
              "pumpEject", "acceptArrival", "deliverArrival",
              "pushArrival"}),

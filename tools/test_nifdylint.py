@@ -285,6 +285,17 @@ def test_hot_required_negative():
     assert not vs
 
 
+def test_hot_required_covers_router_route():
+    # Every router's route() runs at each allocation attempt: an
+    # unmarked override under src/net/ is flagged, one elsewhere is not.
+    route = ("bool\nMeshRouter::route(int in, Packet &p, "
+             "std::vector<int> &c)\n{\n    c.push_back(0);\n"
+             "    return false;\n}\n")
+    vs = run_rule("hot-required", {"src/net/mesh.cc": route})
+    assert rules_hit(vs) == {"hot-required"}
+    assert not run_rule("hot-required", {"src/traffic/mesh.cc": route})
+
+
 # --- hot-alloc ----------------------------------------------------------
 
 def test_hot_alloc_positive():
