@@ -9,6 +9,10 @@
  * benches use.
  *
  * Args: nodes=64 seed=1 csv=false packet=32
+ *
+ * A packet larger than fattree-saf's per-VC buffer is rejected: a
+ * store-and-forward head leaves a router only once its tail is
+ * buffered there, so such a probe would never leave its first router.
  */
 
 #include "benchutil.hh"
@@ -23,6 +27,16 @@ main(int argc, char **argv)
     int bytes = 32;
     args.conf.knob("packet", bytes, "probe packet size in bytes", 1);
     args.conf.close();
+    NetworkParams safParams;
+    safParams.numNodes = args.nodes;
+    const NetworkParams saf =
+        makeNetwork("fattree-saf", safParams)->params();
+    const int flits = (bytes + saf.flitBytes - 1) / saf.flitBytes;
+    fatal_if(flits > saf.bufDepth,
+             "packet=%d: a %d-flit packet does not fit in fattree-saf's "
+             "%d-flit (%d-byte) VC buffer, so store-and-forward would "
+             "never send it",
+             bytes, flits, saf.bufDepth, saf.bufDepth * saf.flitBytes);
 
     Table t("Table 3: simulated " + std::to_string(args.nodes) +
             "-node networks, measured characteristics and NIFDY "
@@ -53,7 +67,9 @@ main(int argc, char **argv)
                Table::num(static_cast<long>(best.window))});
     }
     args.emit(t);
-    args.note("T_lat fitted on an unloaded network (32-byte packets);"
+    args.note("T_lat fitted on an unloaded network (" +
+              std::to_string(bytes) +
+              "-byte packets);"
               "\nW_analytic is Equation 3's window for full pairwise"
               " bandwidth at d_max;\nO/B/D/W are the tuned parameters"
               " used by the other benches.\nPaper constants: T_send=40"

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "nic/plainnic.hh"
+#include "sim/log.hh"
 
 namespace nifdy
 {
@@ -37,6 +38,7 @@ fitLatency(const std::string &topology, int nodes, int packetBytes,
     double sy = 0;
     double sxx = 0;
     double sxy = 0;
+    constexpr Cycle budget = 200000;
     for (NodeId dst = 1; dst < nodes; dst = dst * 2 + 1) {
         Packet *p = pool.alloc();
         p->src = 0;
@@ -44,8 +46,13 @@ fitLatency(const std::string &topology, int nodes, int packetBytes,
         p->sizeBytes = packetBytes;
         const Cycle start = kernel.now();
         nics[0]->send(p, start);
-        kernel.run(200000,
+        kernel.run(budget,
                    [&] { return nics[dst]->arrivalsPending() > 0; });
+        fatal_if(nics[dst]->arrivalsPending() == 0,
+                 "%s: a %d-byte probe from node 0 to node %d was not "
+                 "delivered within %llu cycles",
+                 topology.c_str(), packetBytes, dst,
+                 static_cast<unsigned long long>(budget));
         pool.release(nics[dst]->pollReceive(kernel.now()));
         const LatencyProbe &pr = fit.probes.emplace_back(LatencyProbe{
             dst, net->distance(0, dst), kernel.now() - start});

@@ -5,6 +5,8 @@
  * fat tree).
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "nic/nifdyparams.hh"
@@ -107,6 +109,16 @@ TEST(Params, SuggestGenerousForRoomyNetwork)
     NifdyConfig cfg = suggestConfig(m, 6, 40.0, 1.0);
     EXPECT_EQ(cfg.opt, 8);
     EXPECT_EQ(cfg.pool, 8);
+}
+
+TEST(Params, UndeliveredLatencyProbeIsFatal)
+{
+    // A 9-flit probe never leaves fattree-saf's first router (its
+    // VC buffers hold 8 flits, and a store-and-forward head waits
+    // for its tail): the fit fails loudly instead of reading an
+    // empty arrivals FIFO.
+    EXPECT_EQ(fitLatency("fattree-saf", 16, 32, 1).probes.size(), 4u);
+    EXPECT_THROW(fitLatency("fattree-saf", 16, 33, 1), std::runtime_error);
 }
 
 TEST(Params, WindowsShrinkWithDistance)
