@@ -138,7 +138,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             [this](NodeId n, bool restart, Cycle now) {
                 onNodeFault(n, restart, now);
             });
-        kernel_.add(nodeDriver_.get(), "nodefaults");
+        kernel_.add(nodeDriver_.get());
     }
 
     barrier_ = std::make_unique<Barrier>(cfg_.numNodes,
@@ -190,7 +190,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
             break;
         }
         nic->setKernel(&kernel_);
-        kernel_.add(nic.get(), "nic" + std::to_string(n));
+        kernel_.add(nic.get());
         if (cfg_.coll.offload) {
             auto eng = std::make_unique<CollEngine>(
                 n, cfg_.numNodes, collCfg, pool_);
@@ -217,7 +217,7 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
         auto proc = std::make_unique<Processor>(n, *nics_.back(),
                                                 cfg_.proc);
         proc->setKernel(&kernel_);
-        kernel_.add(proc.get(), "proc" + std::to_string(n));
+        kernel_.add(proc.get());
         procs_.push_back(std::move(proc));
 
         MessageParams mp = cfg_.msg;

@@ -13,7 +13,7 @@ Network::addToKernel(Kernel &kernel)
 {
     for (auto &r : routers_) {
         r->setKernel(&kernel);
-        kernel.add(r.get(), name() + ".router" + std::to_string(r->id()));
+        kernel.add(r.get());
     }
 }
 

@@ -9,11 +9,10 @@ namespace nifdy
 {
 
 void
-Kernel::add(Steppable *obj, std::string name)
+Kernel::add(Steppable *obj)
 {
     panic_if(obj == nullptr, "Kernel::add(nullptr)");
     objects_.push_back(obj);
-    names_.push_back(std::move(name));
 }
 
 NIFDY_HOT void

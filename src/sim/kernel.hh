@@ -17,7 +17,6 @@
 #define NIFDY_SIM_KERNEL_HH
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/probes.hh"
@@ -56,7 +55,7 @@ class Kernel
     Kernel &operator=(const Kernel &) = delete;
 
     /** Register a component (non-owning; must outlive the kernel). */
-    void add(Steppable *obj, std::string name = "");
+    void add(Steppable *obj);
 
     /** Current simulated cycle (the next one to execute). */
     Cycle now() const { return now_; }
@@ -69,9 +68,10 @@ class Kernel
      * @return the cycle count at exit.
      *
      * If no component reports activity for watchdogLimit() cycles
-     * while the predicate is still false, the kernel panics with the
-     * registered component names -- this catches protocol or routing
-     * deadlocks in simulations that should otherwise make progress.
+     * while the predicate is still false, the kernel panics, naming
+     * the cycle and the component count -- this catches protocol or
+     * routing deadlocks in simulations that should otherwise make
+     * progress.
      */
     Cycle run(Cycle maxCycles,
               const std::function<bool()> &done = nullptr);
@@ -114,7 +114,6 @@ class Kernel
     Cycle idleCycles_ = 0;
     Cycle watchdogLimit_ = 200000;
     std::vector<Steppable *> objects_;
-    std::vector<std::string> names_;
     Probes probes_;
 };
 
