@@ -140,6 +140,18 @@ TEST(Golden, LossyWithLinkAndPortFaults)
               "01c2eac527e05c44");
 }
 
+TEST(Golden, LossyFatTreeDrops)
+{
+    // A lossy clone's hop can move the anatomy record it shares with
+    // the original off routerArb, and the original's failed retries
+    // stamp it back, so this pins routers that retry every blocked
+    // head while the anatomy watches.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16", "nic=lossy",
+                            "fault.dropProb=0.05"},
+                           "heavy", 10000),
+              "bbc7b23bf8b7440a");
+}
+
 TEST(Golden, NoNic)
 {
     EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16", "nic=none"},
