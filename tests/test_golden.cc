@@ -159,5 +159,36 @@ TEST(Golden, NoNic)
               "887853d90cd943d5");
 }
 
+TEST(Golden, NodeCrashRestart)
+{
+    // Two crash/restart windows on NIFDY: deliveries that reach a
+    // down node are black-holed, and the restarts tear down dialogs.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16",
+                            "node.crash=5@1500+1000,9@3000+500",
+                            "seed=2"},
+                           "heavy", 8000),
+              "47a53b89c6ec5e41");
+}
+
+TEST(Golden, BuffersCrash)
+{
+    // The buffers NIC's arrival slots across two crash windows.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16", "nic=buffers",
+                            "node.crash=3@2000+500,7@2500+800",
+                            "seed=1"},
+                           "heavy", 6000),
+              "08c8b893f6dfc2a3");
+}
+
+TEST(Golden, LossyReceiverDrops)
+{
+    // Receiver-side drops and the duplicate filter's repeated acks,
+    // scalar and bulk, on a cyclic shift run to completion.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16", "nic=lossy",
+                            "lossy.dropProb=0.05", "seed=2"},
+                           "cshift", 400000),
+              "686192faf750676f");
+}
+
 } // namespace
 } // namespace nifdy
