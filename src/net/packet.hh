@@ -167,6 +167,18 @@ struct Packet
      * retransmission clone, else id. */
     std::uint64_t rootId() const { return cloneOf ? cloneOf : id; }
 
+    /** A cumulative bulk ack: it names a dialog and a sequence
+     * number (a standalone ack only; piggybacks are scalar acks). */
+    bool isBulkAck() const { return ackDialog >= 0 && ackSeq >= 0; }
+
+    /** A dialog reject: the reject bit plus a dialog number, which
+     * answers a bulk packet for a dialog the receiver does not have
+     * (a bulk-request reject names no dialog). */
+    bool isDialogReject() const
+    {
+        return ackRejectsBulk && ackDialog >= 0;
+    }
+
     /** Number of flits this packet serializes into. */
     int numFlits(int flitBytes) const
     {
@@ -175,6 +187,18 @@ struct Packet
 
     std::string toString() const;
 };
+
+/**
+ * The wire form of a monotone bulk index (Section 2.1.2): its residue
+ * mod 2W for a dialog window of @p window packets. Index -1 (nothing
+ * delivered yet, in a cumulative ack) encodes as 2W - 1.
+ */
+inline std::int16_t
+bulkSeq(std::int64_t index, int window)
+{
+    const std::int64_t space = 2 * static_cast<std::int64_t>(window);
+    return static_cast<std::int16_t>((index % space + space) % space);
+}
 
 /**
  * One flit in motion. Flits reference their packet; the packet is

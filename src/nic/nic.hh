@@ -15,7 +15,6 @@
 #define NIFDY_NIC_NIC_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "net/topology.hh"
@@ -122,9 +121,9 @@ class Nic : public Steppable
     void crash(Cycle now);
 
     /**
-     * Cold restart: protocol state stays empty (onRestart() lets
-     * subclasses resync) and the incarnation epoch is bumped, so
-     * peers can tell this incarnation's packets from stale ones.
+     * Cold restart: protocol state stays empty and the incarnation
+     * epoch is bumped, so peers can tell this incarnation's packets
+     * from stale ones.
      */
     void restart(Cycle now);
 
@@ -133,9 +132,6 @@ class Nic : public Steppable
     /** Incarnation epoch: 0 at construction, +1 per restart. Every
      * packet's head flit is stamped with it on injection. */
     std::uint32_t epoch() const { return epoch_; }
-
-    /** Packets black-holed (or purged from arrivals) while down. */
-    std::uint64_t crashDiscards() const { return crashDiscards_; }
     //! @}
 
     NodeId node() const { return node_; }
@@ -178,13 +174,12 @@ class Nic : public Steppable
     virtual bool injectQueued() const;
 
     /**
-     * May the ejection path start accepting this packet (reserve
-     * buffer space)? Called once per packet at its head flit.
+     * Does @p pkt need an arrivals-FIFO slot before its head flit is
+     * accepted? Asked once per packet at its head flit; the base
+     * reserves the slot (or withholds credits while the FIFO is full)
+     * and releases it at the tail, just before onPacketDelivered().
      */
-    virtual bool canAccept(const Packet &pkt) = 0;
-
-    /** Head flit of @p pkt accepted (early-ack hook). */
-    virtual void onPacketHead(Packet *pkt, Cycle now);
+    virtual bool needsArrivalSlot(const Packet &pkt) const = 0;
 
     /**
      * Full packet reassembled. The subclass routes it: arrivals
@@ -199,9 +194,6 @@ class Nic : public Steppable
      * clear protocol state. The base class has already emptied the
      * arrivals FIFO. */
     virtual void onCrash(Cycle now);
-
-    /** Cold-restart hook, called after the epoch bump. */
-    virtual void onRestart(Cycle now);
 
     /**
      * Latency-anatomy hook: attribute every queued-but-not-injected
@@ -219,21 +211,14 @@ class Nic : public Steppable
     /**
      * FIFO occupancy including reserved slots. With multiple
      * ejection VCs, several packets can be in reassembly at once;
-     * canAccept() must reserve the slot it promises (see
-     * reserveArrival()), otherwise two heads could race for the
-     * last one.
+     * each holds the slot its head reserved, otherwise two heads
+     * could race for the last one.
      */
     bool arrivalsFull() const
     {
         return static_cast<int>(arrivals_.size()) + reservedArrivals_ >=
                params_.arrivalFifo;
     }
-
-    /** Claim a future FIFO slot for a packet being accepted. */
-    void reserveArrival() { ++reservedArrivals_; }
-
-    /** Release a claim (packet delivered into the FIFO or dropped). */
-    void consumeReservation();
 
     /** Flits still being serialized or reassembled? */
     bool pumpsIdle() const;
@@ -261,16 +246,21 @@ class Nic : public Steppable
     void crashDiscard(Packet *pkt, Cycle now, const char *why);
 
   private:
+    struct InStream;
+
     void pumpInject(Cycle now);
     void pumpEject(Cycle now);
 
-    /** canAccept(), unless crashed: then accept unconditionally and
-     * remember the packet for black-holing at its tail flit. */
-    bool acceptArrival(const Packet &pkt);
+    /** May @p is start reassembling @p pkt? A crashed node accepts
+     * it unconditionally and marks the stream for black-holing; a
+     * packet that needsArrivalSlot() waits for a free slot and
+     * reserves it on the stream. */
+    bool acceptArrival(const Packet &pkt, InStream &is);
 
-    /** Route a reassembled packet: black-hole it when it was
-     * accepted by a crashed incarnation, else onPacketDelivered(). */
-    void deliverArrival(Packet *pkt, Cycle now);
+    /** Route a packet whose tail left @p is: release its slot, then
+     * black-hole it when a crashed incarnation accepted it, else
+     * hand it to the collective engine or onPacketDelivered(). */
+    void deliverArrival(Packet *pkt, InStream &is, Cycle now);
 
     Network::NodePorts ports_;
     Kernel *kernel_ = nullptr;
@@ -286,7 +276,6 @@ class Nic : public Steppable
         int totalFlits = 0;
     };
     OutStream outStream_[numNetClasses];
-    int injectRR_ = 0; //!< class round-robin pointer
     //! @}
 
     //! @name Ejection state
@@ -296,9 +285,14 @@ class Nic : public Steppable
         Ring<Flit> buf;          //!< raw flits, credit-bounded
         Packet *assembling = nullptr;
         int flitsSeen = 0;
+        /** The assembling packet holds an arrivals-FIFO slot. */
+        bool reserved = false;
+        /** The assembling packet was accepted by (or caught
+         * mid-reassembly by) a crash: its tail is discarded. */
+        bool blackholed = false;
     };
     std::vector<InStream> inStreams_; //!< per ejection VC
-    /** Flits held in inStreams_ (refused by canAccept()). */
+    /** Flits held in inStreams_ (a head waiting for a slot). */
     int heldFlits_ = 0;
     /** Bit 0 marks the cycles a flit becomes visible on the
      * ejection channel. */
@@ -312,13 +306,6 @@ class Nic : public Steppable
     //! @{
     bool crashed_ = false;
     std::uint32_t epoch_ = 0;
-    /** Ids of packets whose head flit a crashed incarnation
-     * accepted; their reassembled bodies are discarded instead of
-     * delivered. Keyed on the stable Packet::id (never the pointer:
-     * PacketPool recycles Packet objects, so a pointer could alias a
-     * later, unrelated packet). Membership-only. */
-    std::unordered_set<std::uint64_t> blackhole_;
-    std::uint64_t crashDiscards_ = 0;
     //! @}
 
     //! @name Stats

@@ -47,12 +47,12 @@ NifdyNic::send(Packet *pkt, Cycle now)
     panic_if(!canSend(*pkt), "send on full NIFDY pool, node %d", node_);
     pkt->createdAt = now;
     probes_->send(*pkt, node_, now);
-    sendPool_.push_back({pkt, poolOrder_++});
+    sendPool_.push_back(pkt);
     // Record a deferral when protocol admission (OPT slot, window
     // room, per-destination order) cannot be immediate; the matching
     // opt.admit/window.admit event closes the gap on the timeline.
     if (probes_->tracer() && !pkt->noAck &&
-        !eligibleScalar(sendPool_.back(), sendPool_.size() - 1))
+        !eligibleScalar(*pkt, sendPool_.size() - 1))
         probes_->mark(ev::optDefer, *pkt, node_, now);
 }
 
@@ -161,22 +161,21 @@ NifdyNic::transitIdle() const
 }
 
 bool
-NifdyNic::eligibleScalar(const PoolEntry &e, std::size_t idx) const
+NifdyNic::eligibleScalar(const Packet &pkt, std::size_t idx) const
 {
-    return !admissionBlock(e, idx);
+    return !admissionBlock(pkt, idx);
 }
 
 std::optional<StallCause>
-NifdyNic::admissionBlock(const PoolEntry &e, std::size_t idx) const
+NifdyNic::admissionBlock(const Packet &pkt, std::size_t idx) const
 {
-    const Packet &pkt = *e.pkt;
     // Section 6.1: no-ack packets bypass the protocol entirely.
     if (pkt.noAck)
         return std::nullopt;
     // Per-destination FIFO order: only the oldest queued packet for
     // this destination may go (the rank/eligibility unit).
     for (std::size_t j = 0; j < idx; ++j)
-        if (sendPool_[j].pkt->dst == pkt.dst)
+        if (sendPool_[j]->dst == pkt.dst)
             return StallCause::ackWait;
     if (out_.active && pkt.dst == out_.peer) {
         // Bulk dialog: another class would break the dialog's ordering
@@ -195,10 +194,21 @@ NifdyNic::admissionBlock(const PoolEntry &e, std::size_t idx) const
     return std::nullopt;
 }
 
+void
+NifdyNic::labelBulk(Packet *pkt, Cycle now)
+{
+    pkt->type = PacketType::bulk;
+    pkt->dialog = static_cast<std::int16_t>(out_.dialog);
+    pkt->bulkIndex = out_.sentTotal;
+    pkt->seq = bulkSeq(out_.sentTotal, out_.window);
+    ++out_.sentTotal;
+    out_.lastProgress = now;
+}
+
 Packet *
 NifdyNic::takeFromPool(std::size_t idx, Cycle now)
 {
-    Packet *pkt = sendPool_[idx].pkt;
+    Packet *pkt = sendPool_[idx];
     sendPool_.erase(sendPool_.begin() + idx);
 
     if (pkt->noAck) {
@@ -210,13 +220,7 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
 
     if (out_.active && pkt->dst == out_.peer) {
         // Bulk conversion at injection time.
-        pkt->type = PacketType::bulk;
-        pkt->dialog = static_cast<std::int16_t>(out_.dialog);
-        pkt->bulkIndex = out_.sentTotal;
-        pkt->seq = static_cast<std::int16_t>(out_.sentTotal %
-                                             (2 * out_.window));
-        ++out_.sentTotal;
-        out_.lastProgress = now;
+        labelBulk(pkt, now);
         pkt->bulkRequest = false;
         if (pkt->bulkExit) {
             // Keep the dialog open across back-to-back transfers,
@@ -224,8 +228,8 @@ NifdyNic::takeFromPool(std::size_t idx, Cycle now)
             // carries an end-of-transfer mark (otherwise the dialog
             // could stay open forever).
             bool laterExit = false;
-            for (const PoolEntry &e : sendPool_)
-                if (e.pkt->dst == out_.peer && e.pkt->bulkExit) {
+            for (const Packet *p : sendPool_)
+                if (p->dst == out_.peer && p->bulkExit) {
                     laterExit = true;
                     break;
                 }
@@ -285,18 +289,12 @@ NifdyNic::nextToInject(NetClass cls, Cycle now)
         pkt->src = node_;
         pkt->dst = out_.peer;
         pkt->netClass = cls;
-        pkt->type = PacketType::bulk;
         pkt->ctrlOnly = true;
         pkt->bulkExit = true;
         pkt->sizeBytes = cfg_.ackBytes;
         pkt->payloadWords = 0;
-        pkt->dialog = static_cast<std::int16_t>(out_.dialog);
-        pkt->bulkIndex = out_.sentTotal;
-        pkt->seq = static_cast<std::int16_t>(out_.sentTotal %
-                                             (2 * out_.window));
         pkt->createdAt = now;
-        ++out_.sentTotal;
-        out_.lastProgress = now;
+        labelBulk(pkt, now);
         out_.exitSent = true;
         out_.closePending = false;
         onDataInjected(pkt, now);
@@ -304,9 +302,9 @@ NifdyNic::nextToInject(NetClass cls, Cycle now)
     }
 
     for (std::size_t i = 0; i < sendPool_.size(); ++i) {
-        if (sendPool_[i].pkt->netClass != cls)
+        if (sendPool_[i]->netClass != cls)
             continue;
-        if (eligibleScalar(sendPool_[i], i))
+        if (eligibleScalar(*sendPool_[i], i))
             return takeFromPool(i, now);
     }
     return nullptr;
@@ -319,16 +317,9 @@ NifdyNic::injectQueued() const
 }
 
 NIFDY_HOT bool
-NifdyNic::canAccept(const Packet &pkt)
+NifdyNic::needsArrivalSlot(const Packet &pkt) const
 {
-    if (pkt.type == PacketType::ack)
-        return true;
-    if (pkt.type == PacketType::bulk)
-        return true; // window slots are reserved by the protocol
-    if (arrivalsFull())
-        return false;
-    reserveArrival();
-    return true;
+    return pkt.type == PacketType::scalar;
 }
 
 NIFDY_HOT void
@@ -339,8 +330,7 @@ NifdyNic::tryPiggyback(Packet *pkt, Cycle now)
         Packet *ack = ackQueue_[i];
         // Only scalar acks (no cumulative bulk state) riding in the
         // same logical network as the outgoing data.
-        bool isBulkAck = ack->ackDialog >= 0 && ack->ackSeq >= 0;
-        if (isBulkAck || ack->dst != pkt->dst ||
+        if (ack->isBulkAck() || ack->dst != pkt->dst ||
             ack->netClass != pkt->netClass)
             continue;
         pkt->piggyAck = true;
@@ -358,18 +348,27 @@ NifdyNic::tryPiggyback(Packet *pkt, Cycle now)
 }
 
 Packet *
-NifdyNic::makeAck(const Packet &dataPkt, Cycle now, bool allowFreshGrant)
+NifdyNic::newAck(NodeId dst, NetClass dataClass, std::uint32_t epoch,
+                 Cycle now)
 {
     Packet *ack = pool_.alloc();
     ack->type = PacketType::ack;
     ack->src = node_;
-    ack->dst = dataPkt.src;
-    ack->netClass = oppositeClass(dataPkt.netClass);
+    ack->dst = dst;
+    ack->netClass = oppositeClass(dataClass);
     ack->sizeBytes = cfg_.ackBytes;
     ack->createdAt = now;
     // Echo the data's incarnation epoch so the sender's gate can
     // discard acks answering a previous incarnation of itself.
-    ack->ackEpoch = dataPkt.srcEpoch;
+    ack->ackEpoch = epoch;
+    return ack;
+}
+
+Packet *
+NifdyNic::makeAck(const Packet &dataPkt, Cycle now, bool allowFreshGrant)
+{
+    Packet *ack = newAck(dataPkt.src, dataPkt.netClass, dataPkt.srcEpoch,
+                         now);
 
     if (dataPkt.type == PacketType::scalar && dataPkt.bulkRequest &&
         cfg_.bulkEnabled()) {
@@ -438,18 +437,12 @@ NifdyNic::makeAck(const Packet &dataPkt, Cycle now, bool allowFreshGrant)
 Packet *
 NifdyNic::makeDialogReject(const Packet &bulkPkt, Cycle now)
 {
-    Packet *ack = pool_.alloc();
-    ack->type = PacketType::ack;
-    ack->src = node_;
-    ack->dst = bulkPkt.src;
-    ack->netClass = oppositeClass(bulkPkt.netClass);
-    ack->sizeBytes = cfg_.ackBytes;
-    ack->createdAt = now;
-    ack->ackRejectsBulk = true;
+    Packet *ack = newAck(bulkPkt.src, bulkPkt.netClass, bulkPkt.srcEpoch,
+                         now);
     // ackSeq stays -1: the sender reads this as a scalar-form ack
     // whose reject bit plus dialog number tears down the dialog.
+    ack->ackRejectsBulk = true;
     ack->ackDialog = bulkPkt.dialog;
-    ack->ackEpoch = bulkPkt.srcEpoch;
     return ack;
 }
 
@@ -465,9 +458,9 @@ NifdyNic::teardownOutDialog(Cycle now, const char *why)
     onBulkTeardown(peer, now);
     // Let a live (restarted) peer re-establish the transfer: the
     // first still-queued packet for it re-requests a dialog.
-    for (PoolEntry &e : sendPool_) {
-        if (e.pkt->dst == peer && !e.pkt->noAck) {
-            e.pkt->bulkRequest = true;
+    for (Packet *p : sendPool_) {
+        if (p->dst == peer && !p->noAck) {
+            p->bulkRequest = true;
             break;
         }
     }
@@ -563,7 +556,7 @@ NifdyNic::abandonPeer(NodeId peer, Cycle now)
     released +=
         dropInDialogsFrom(peer, now, "peer dead: dialog abandoned");
     for (std::size_t i = sendPool_.size(); i > 0; --i) {
-        Packet *p = sendPool_[i - 1].pkt;
+        Packet *p = sendPool_[i - 1];
         if (p->dst != peer)
             continue;
         probes_->drop(*p, node_, now, "peer dead: queued send discarded");
@@ -603,8 +596,6 @@ NifdyNic::issueScalarAck(Packet *pkt, Cycle now)
 void
 NifdyNic::rejectStaleEpoch(Packet *pkt, Cycle now, const char *why)
 {
-    if (pkt->type == PacketType::scalar)
-        consumeReservation(); // canAccept() claimed a FIFO slot
     ++epochRejects_;
     probes_->epochReject(*pkt, node_, now, why);
     pool_.release(pkt);
@@ -668,15 +659,12 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
     if (isDuplicate(*pkt, now)) {
         // Section 6.2: a retransmission of something already seen.
         // The subclass has already queued the repeated ack.
-        if (pkt->type == PacketType::scalar)
-            consumeReservation();
         probes_->drop(*pkt, node_, now, "duplicate filtered");
         pool_.release(pkt);
         return;
     }
 
     if (pkt->type == PacketType::scalar) {
-        consumeReservation();
         pushArrival(pkt, now);
         if (!cfg_.ackOnAccept)
             issueScalarAck(pkt, now);
@@ -692,7 +680,7 @@ NifdyNic::onPacketDelivered(Packet *pkt, Cycle now)
         // sender recovers instead of panicking.
         const char *why;
         if (bulkDialogMatches(*pkt)) {
-            reAckBulk(d, now);
+            cumulativeAck(d, now);
             why = "stale bulk index (restarted dialog)";
         } else {
             queueAck(makeDialogReject(*pkt, now));
@@ -769,20 +757,8 @@ NifdyNic::maybeAckDialog(int d, Cycle now)
     if (!due && !final)
         return;
 
-    Packet *ack = pool_.alloc();
-    ack->type = PacketType::ack;
-    ack->src = node_;
-    ack->dst = dlg.src;
-    ack->netClass = oppositeClass(dlg.cls);
-    ack->sizeBytes = cfg_.ackBytes;
-    ack->createdAt = now;
-    ack->ackDialog = static_cast<std::int16_t>(d);
-    ack->ackSeq = static_cast<std::int16_t>(
-        (dlg.delivered + 2 * cfg_.window - 1) % (2 * cfg_.window));
-    ack->ackTotal = dlg.delivered;
-    ack->ackEpoch = knownEpoch(dlg.src);
+    cumulativeAck(d, now);
     dlg.ackedAt = dlg.delivered;
-    queueAck(ack);
     for (std::uint64_t rootId : dlg.traceAckPending)
         probes_->markId(ev::ackIssue, rootId, node_, now);
     dlg.traceAckPending.clear();
@@ -803,13 +779,10 @@ NifdyNic::applyAck(const Packet &ack, Cycle now)
 {
     onAckProcessed(ack, now);
 
-    bool isBulkAck = ack.ackDialog >= 0 && ack.ackSeq >= 0;
-    if (!isBulkAck) {
-        // A dialog-reject (reject bit plus a dialog number, no
-        // cumulative state) answers a bulk packet, not the
-        // outstanding scalar: it must not clear the OPT entry.
-        bool dialogReject = ack.ackRejectsBulk && ack.ackDialog >= 0;
-        if (!dialogReject)
+    if (!ack.isBulkAck()) {
+        // A dialog-reject answers a bulk packet, not the outstanding
+        // scalar: it must not clear the OPT entry.
+        if (!ack.isDialogReject())
             clearOpt(ack.src);
         if (ack.ackGrantsBulk) {
             if (out_.requested && !out_.active &&
@@ -825,13 +798,13 @@ NifdyNic::applyAck(const Packet &ack, Cycle now)
                 // If nothing is queued for the peer any more, the
                 // dialog must be explicitly closed again.
                 bool pending = false;
-                for (const PoolEntry &e : sendPool_)
-                    if (e.pkt->dst == out_.peer)
+                for (const Packet *p : sendPool_)
+                    if (p->dst == out_.peer)
                         pending = true;
                 out_.closePending = !pending;
             }
         } else if (ack.ackRejectsBulk) {
-            if (dialogReject) {
+            if (ack.isDialogReject()) {
                 if (out_.active && out_.peer == ack.src &&
                     ack.ackDialog == out_.dialog)
                     teardownOutDialog(now, "receiver lost the dialog");
@@ -877,8 +850,8 @@ NifdyNic::onCrash(Cycle now)
     // Fail-stop: every piece of protocol state dies with the node.
     // Queued packets are released as crash drops; peers recover via
     // their own retry caps, reclaim timeouts, and the epoch gate.
-    for (PoolEntry &e : sendPool_)
-        crashDiscard(e.pkt, now, "node crashed: pooled send discarded");
+    for (Packet *p : sendPool_)
+        crashDiscard(p, now, "node crashed: pooled send discarded");
     sendPool_.clear();
     for (Packet *ack : ackQueue_)
         crashDiscard(ack, now, "node crashed: queued ack discarded");
@@ -897,7 +870,6 @@ NifdyNic::onCrash(Cycle now)
     peerEpoch_.clear();
     lastHeard_.clear();
     deadPeers_.clear();
-    poolOrder_ = 0;
 }
 
 void
@@ -926,12 +898,11 @@ void
 NifdyNic::classifyStalls(Cycle now)
 {
     for (std::size_t i = 0; i < sendPool_.size(); ++i) {
-        const PoolEntry &e = sendPool_[i];
+        const Packet &pkt = *sendPool_[i];
         // An admissible packet waits only on injection bandwidth
         // (credits / class RR).
-        std::optional<StallCause> block = admissionBlock(e, i);
-        probes_->stall(*e.pkt, block ? *block : injectCause(*e.pkt),
-                       now);
+        std::optional<StallCause> block = admissionBlock(pkt, i);
+        probes_->stall(pkt, block ? *block : injectCause(pkt), now);
     }
 }
 
@@ -971,23 +942,13 @@ NifdyNic::bulkIndexFresh(int d, std::int64_t index) const
 }
 
 void
-NifdyNic::reAckBulk(int d, Cycle now)
+NifdyNic::cumulativeAck(int d, Cycle now)
 {
-    if (d < 0 || d >= static_cast<int>(in_.size()) || !in_[d].active)
-        return;
-    InDialog &dlg = in_[d];
-    Packet *ack = pool_.alloc();
-    ack->type = PacketType::ack;
-    ack->src = node_;
-    ack->dst = dlg.src;
-    ack->netClass = oppositeClass(dlg.cls);
-    ack->sizeBytes = cfg_.ackBytes;
-    ack->createdAt = now;
+    const InDialog &dlg = in_[d];
+    Packet *ack = newAck(dlg.src, dlg.cls, knownEpoch(dlg.src), now);
     ack->ackDialog = static_cast<std::int16_t>(d);
-    ack->ackSeq = static_cast<std::int16_t>(
-        (dlg.delivered + 2 * cfg_.window - 1) % (2 * cfg_.window));
+    ack->ackSeq = bulkSeq(dlg.delivered - 1, cfg_.window);
     ack->ackTotal = dlg.delivered;
-    ack->ackEpoch = knownEpoch(dlg.src);
     queueAck(ack);
 }
 

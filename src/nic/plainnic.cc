@@ -76,20 +76,16 @@ BufferedNic::onCrash(Cycle now)
 }
 
 NIFDY_HOT bool
-BufferedNic::canAccept(const Packet &pkt)
+BufferedNic::needsArrivalSlot(const Packet &pkt) const
 {
     panic_if(pkt.type == PacketType::ack,
              "protocol-free NIC %d received an ack", node_);
-    if (arrivalsFull())
-        return false;
-    reserveArrival();
     return true;
 }
 
 NIFDY_HOT void
 BufferedNic::onPacketDelivered(Packet *pkt, Cycle now)
 {
-    consumeReservation();
     pushArrival(pkt, now);
 }
 

@@ -43,7 +43,8 @@ class BufferedNic : public Nic
     Packet *nextToInject(NetClass cls, Cycle now) override;
     /** The send queue holds a packet. */
     bool injectQueued() const override;
-    bool canAccept(const Packet &pkt) override;
+    /** Every packet (an ack here is a protocol error). */
+    bool needsArrivalSlot(const Packet &pkt) const override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;
     void onCrash(Cycle now) override;
     /** No admission protocol: every queued packet is blamed on

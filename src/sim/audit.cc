@@ -269,7 +269,7 @@ class PacketLifecycleChecker : public InvariantChecker
  * outgoing bulk dialog never has more than the granted window
  * unacknowledged; every buffered receive-window slot holds a packet
  * whose monotone index lies inside the live window, whose wire
- * sequence number is its seqSpace() compression, and whose source
+ * sequence number is its bulkSeq() encoding, and whose source
  * matches the dialog.
  */
 class OptDisciplineChecker : public InvariantChecker
@@ -353,7 +353,7 @@ class OptDisciplineChecker : public InvariantChecker
                                    std::to_string(idx) +
                                    " stored in slot " +
                                    std::to_string(s));
-                if (pkt->seq != idx % cfg.seqSpace())
+                if (pkt->seq != bulkSeq(idx, cfg.window))
                     fail(*pkt,
                          dlg + ": wire sequence number " +
                              std::to_string(pkt->seq) +
