@@ -5,9 +5,12 @@
  * FIFO backpressure, head-of-line behavior, and statistics.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "netharness.hh"
+#include "sim/audit.hh"
 
 namespace nifdy
 {
@@ -170,6 +173,106 @@ TEST(BufferedNic, SelfSendTraversesNetwork)
     h.send(2, 2);
     h.runUntilQuiet();
     EXPECT_EQ(h.drainCount(2), 1);
+}
+
+/** Exposes the arrivals-FIFO occupancy test, reserved slots
+ * included. */
+class SlotNic : public BufferedNic
+{
+  public:
+    using BufferedNic::BufferedNic;
+    using BufferedNic::arrivalsFull;
+};
+
+/** Records the reason of every NIC-side drop. */
+class DropRecorder : public InvariantChecker
+{
+  public:
+    explicit DropRecorder(std::vector<std::string> *log) : log_(log) {}
+    const char *name() const override { return "drop-recorder"; }
+    void
+    onDrop(const Packet &pkt, NodeId node, const char *why) override
+    {
+        (void)pkt;
+        (void)node;
+        log_->push_back(why);
+    }
+
+  private:
+    std::vector<std::string> *log_;
+};
+
+TEST(BufferedNic, CrashForfeitsTheSlotOfAPacketMidReassembly)
+{
+    // The receiver never polls. A crash catches a packet in
+    // reassembly while it holds the last arrivals slot, and the node
+    // restarts before that packet's tail: the tail is still
+    // black-holed, and the FIFO then takes exactly arrivalFifo
+    // packets again (a leaked reservation would stop it one short).
+    PacketPool pool;
+    Kernel kernel;
+    std::vector<std::string> drops;
+    Audit audit;
+    audit.add(std::make_unique<DropRecorder>(&drops));
+    kernel.probes().attach(&audit);
+    auto net = makeNetwork("mesh2d", small());
+    net->addToKernel(kernel);
+    std::vector<std::unique_ptr<SlotNic>> nics;
+    for (NodeId n = 0; n < 4; ++n) {
+        NicParams nicp;
+        nicp.vcsPerClass = net->params().vcsPerClass;
+        nicp.arrivalFifo = 2;
+        nics.push_back(std::make_unique<SlotNic>(n, net->nodePorts(n),
+                                                 nicp, pool, 16));
+        nics.back()->setKernel(&kernel);
+        kernel.add(nics.back().get());
+    }
+    SlotNic &rx = *nics[3];
+    auto send = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            Packet *p = pool.alloc();
+            p->src = 0;
+            p->dst = 3;
+            p->sizeBytes = 128; // 32 flits: a long reassembly
+            nics[0]->send(p, kernel.now());
+        }
+    };
+
+    send(2);
+    kernel.run(20000, [&] { return rx.arrivalsPending() == 1; });
+    kernel.run(20);
+    ASSERT_EQ(rx.arrivalsPending(), 1);
+    ASSERT_EQ(rx.packetsDelivered(), 1u);
+    ASSERT_TRUE(rx.arrivalsFull()) << "the second packet holds no slot";
+
+    rx.crash(kernel.now());
+    EXPECT_EQ(rx.arrivalsPending(), 0);
+    EXPECT_FALSE(rx.arrivalsFull());
+    kernel.run(10);
+    rx.restart(kernel.now());
+    ASSERT_FALSE(rx.transitIdle()) << "the tail arrived before restart";
+    kernel.run(20000, [&] { return rx.transitIdle(); });
+    EXPECT_EQ(rx.packetsDelivered(), 1u);
+    EXPECT_EQ(drops, (std::vector<std::string>{
+                         "node crashed: arrival discarded",
+                         "node crashed: delivery black-holed"}));
+
+    send(4);
+    kernel.run(20000);
+    EXPECT_EQ(rx.arrivalsPending(), 2);
+    EXPECT_TRUE(rx.arrivalsFull());
+    int got = 0;
+    kernel.run(20000, [&] {
+        while (Packet *p = rx.pollReceive(kernel.now())) {
+            pool.release(p);
+            ++got;
+        }
+        return got == 4;
+    });
+    EXPECT_EQ(got, 4);
+    EXPECT_EQ(drops.size(), 2u);
+    EXPECT_EQ(pool.live(), 0u);
+    kernel.probes().detachAll();
 }
 
 } // namespace
