@@ -53,7 +53,6 @@ class JsonValue
     bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
-    bool isString() const { return kind == Kind::String; }
     bool isNumber() const { return kind == Kind::Number; }
 
     /** Member lookup (nullptr when absent or not an object). */

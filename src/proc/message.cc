@@ -125,7 +125,6 @@ int
 MessageLayer::accept(Packet *pkt, Cycle now)
 {
     int words = pkt->payloadWords;
-    ++packetsReceived_;
     wordsReceived_ += words;
     // Software reordering penalty for multi-packet transfers that
     // the network may have scrambled.

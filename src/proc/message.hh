@@ -95,7 +95,6 @@ class MessageLayer
      */
     int accept(Packet *pkt, Cycle now);
 
-    std::uint64_t packetsReceived() const { return packetsReceived_; }
     std::uint64_t wordsReceived() const { return wordsReceived_; }
     std::uint64_t packetsSent() const { return packetsSent_; }
     //! @}
@@ -120,7 +119,6 @@ class MessageLayer
     Packet *staged_ = nullptr; //!< built but NIC was full
     std::uint32_t nextMsgId_ = 1;
     std::uint64_t packetsSent_ = 0;
-    std::uint64_t packetsReceived_ = 0;
     std::uint64_t wordsReceived_ = 0;
 };
 

@@ -30,7 +30,6 @@ class Workload
     virtual bool done() const = 0;
 
     std::uint64_t packetsAccepted() const { return packetsAccepted_; }
-    std::uint64_t wordsAccepted() const { return wordsAccepted_; }
 
   protected:
     /** Observation hook, fired before a received packet is freed. */

@@ -112,12 +112,6 @@ inline constexpr const char *stallCauseLabels[numStallCauses] = {
     "collective defer",
 };
 
-inline const char *
-stallCauseSlug(StallCause c)
-{
-    return stallCauseSlugs[static_cast<int>(c)];
-}
-
 /** Runtime knobs (CLI: anatomy.enabled / anatomy.sampleRate / ...). */
 struct AnatomyConfig
 {
@@ -200,21 +194,11 @@ class Anatomy
     }
     /** End-to-end (send -> processor accept) latency. */
     const Distribution &e2e() const { return e2e_; }
-    /** Per-cause distribution over packets of @p type (peer-class
-     * split: 0 = scalar, 1 = bulk). */
-    const Distribution &classDist(int cls, StallCause c) const
-    {
-        return classDists_[cls][static_cast<int>(c)];
-    }
     /** Per-source-node cause totals. */
     const std::array<std::uint64_t, numStallCauses> &
     nodeTotals(NodeId n) const
     {
         return nodeTotals_[static_cast<std::size_t>(n)];
-    }
-    std::uint64_t nodePackets(NodeId n) const
-    {
-        return nodePackets_[static_cast<std::size_t>(n)];
     }
     std::uint64_t nodeLatency(NodeId n) const
     {

@@ -350,10 +350,6 @@ NodeFaultDriver::step(Cycle now)
 {
     while (next_ < events_.size() && events_[next_].at <= now) {
         const Event &ev = events_[next_++];
-        if (ev.restart)
-            ++restartsFired_;
-        else
-            ++crashesFired_;
         handler_(ev.node, ev.restart, now);
     }
     firedAll_ = next_ == events_.size();

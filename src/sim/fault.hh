@@ -212,8 +212,6 @@ class NodeFaultDriver : public Steppable
     /** The resolved schedule (sorted by crash cycle). */
     const std::vector<NodeFault> &schedule() const { return schedule_; }
 
-    int crashesFired() const { return crashesFired_; }
-    int restartsFired() const { return restartsFired_; }
     /** Every scheduled event has fired. */
     bool exhausted() const { return firedAll_; }
 
@@ -229,8 +227,6 @@ class NodeFaultDriver : public Steppable
     std::vector<Event> events_; //!< sorted by cycle
     std::size_t next_ = 0;
     Handler handler_;
-    int crashesFired_ = 0;
-    int restartsFired_ = 0;
     bool firedAll_ = false;
 };
 

@@ -67,11 +67,11 @@ class Kernel
      * Run until @p done returns true or @p maxCycles have executed.
      * @return the cycle count at exit.
      *
-     * If no component reports activity for watchdogLimit() cycles
-     * while the predicate is still false, the kernel panics, naming
-     * the cycle and the component count -- this catches protocol or
-     * routing deadlocks in simulations that should otherwise make
-     * progress.
+     * If no component reports activity for setWatchdogLimit()
+     * cycles while the predicate is still false, the kernel panics,
+     * naming the cycle and the component count -- this catches
+     * protocol or routing deadlocks in simulations that should
+     * otherwise make progress.
      */
     Cycle run(Cycle maxCycles,
               const std::function<bool()> &done = nullptr);
@@ -87,7 +87,6 @@ class Kernel
 
     /** Cycles of global inactivity tolerated before panicking. */
     void setWatchdogLimit(Cycle limit) { watchdogLimit_ = limit; }
-    Cycle watchdogLimit() const { return watchdogLimit_; }
 
     /**
      * The experiment's probe bus (sim/probes.hh). Components get a

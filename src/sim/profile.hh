@@ -188,7 +188,6 @@ class Profiler
     std::uint64_t classSteps(std::size_t c) const;
     /** ...of which made no observable progress. */
     std::uint64_t classIdleSteps(std::size_t c) const;
-    std::size_t numComponents() const { return comps_.size(); }
     //! @}
 
     /**

@@ -138,8 +138,8 @@ class Tracer
     //! @name Recording (through the probe bus and the other sinks)
     //! @{
     /** Lifecycle event for a data packet; ack/ctrlOnly packets are
-     * filtered out (their protocol effects are traced via
-     * ackEvent()). @p track becomes the Chrome tid. */
+     * filtered out (their protocol effects are traced as
+     * ev::ackIssue marks). @p track becomes the Chrome tid. */
     void packetEvent(const char *name, const Packet &pkt, Cycle now,
                      int track, const char *why = nullptr);
     /** Event attributed to a root packet id directly (used for
