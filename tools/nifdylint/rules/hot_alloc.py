@@ -41,7 +41,7 @@ HOT_FAMILIES = (
              "popCredit", "hasCredit", "route"}),
     ("nic", {"nextToInject", "onPacketDelivered", "pumpInject",
              "pumpEject", "acceptArrival", "deliverArrival",
-             "pushArrival"}),
+             "pushArrival", "needsArrivalSlot", "injectQueued"}),
 )
 
 #: Heap-allocating constructs. `new` is also covered by

@@ -296,6 +296,19 @@ def test_hot_required_covers_router_route():
     assert not run_rule("hot-required", {"src/traffic/mesh.cc": route})
 
 
+def test_hot_required_covers_nic_slot_and_pump_queries():
+    # needsArrivalSlot() runs at every packet head and injectQueued()
+    # once per NIC per cycle: unmarked definitions under src/nic/ are
+    # flagged, marked ones pass.
+    for name in ("needsArrivalSlot", "injectQueued"):
+        body = ("bool\nBufferedNic::%s(const Packet &pkt) const\n{\n"
+                "    return true;\n}\n" % name)
+        vs = run_rule("hot-required", {"src/nic/plainnic.cc": body})
+        assert rules_hit(vs) == {"hot-required"}, name
+        assert not run_rule("hot-required",
+                            {"src/nic/plainnic.cc": "NIFDY_HOT " + body})
+
+
 # --- hot-alloc ----------------------------------------------------------
 
 def test_hot_alloc_positive():
