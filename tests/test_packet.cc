@@ -55,6 +55,43 @@ TEST(Packet, ToStringMentionsKeyFields)
     EXPECT_NE(s.find("dlg=3"), std::string::npos);
 }
 
+TEST(Packet, BulkSeqIsTheIndexModTwiceTheWindow)
+{
+    EXPECT_EQ(bulkSeq(0, 4), 0);
+    EXPECT_EQ(bulkSeq(7, 4), 7);
+    EXPECT_EQ(bulkSeq(8, 4), 0);
+    EXPECT_EQ(bulkSeq(21, 4), 5);
+    // A cumulative ack before any delivery acks index -1.
+    EXPECT_EQ(bulkSeq(-1, 4), 7);
+    EXPECT_EQ(bulkSeq(-1, 1), 1);
+}
+
+TEST(Packet, AckFormsAreTellable)
+{
+    Packet cumulative;
+    cumulative.ackDialog = 0;
+    cumulative.ackSeq = bulkSeq(-1, 4);
+    EXPECT_TRUE(cumulative.isBulkAck());
+    EXPECT_FALSE(cumulative.isDialogReject());
+
+    Packet dialogReject;
+    dialogReject.ackRejectsBulk = true;
+    dialogReject.ackDialog = 0;
+    EXPECT_FALSE(dialogReject.isBulkAck());
+    EXPECT_TRUE(dialogReject.isDialogReject());
+
+    Packet requestReject; // answers a bulk request: no dialog named
+    requestReject.ackRejectsBulk = true;
+    EXPECT_FALSE(requestReject.isBulkAck());
+    EXPECT_FALSE(requestReject.isDialogReject());
+
+    Packet grant;
+    grant.ackGrantsBulk = true;
+    grant.ackDialog = 0;
+    EXPECT_FALSE(grant.isBulkAck());
+    EXPECT_FALSE(grant.isDialogReject());
+}
+
 TEST(PacketType, Names)
 {
     EXPECT_STREQ(packetTypeName(PacketType::scalar), "scalar");
