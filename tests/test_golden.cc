@@ -190,5 +190,21 @@ TEST(Golden, LossyReceiverDrops)
               "686192faf750676f");
 }
 
+TEST(Golden, LossyRetryCapDeadPeers)
+{
+    // Jittered, backed-off timers reach the retry cap, so peers are
+    // declared dead and their queued traffic abandoned; a crashed
+    // node that stays down is also reclaimed by the timeout.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16", "nic=lossy",
+                            "fault.dropProb=0.05",
+                            "lossy.retxTimeout=600",
+                            "lossy.backoffFactor=2",
+                            "lossy.jitterFrac=0.25",
+                            "lossy.maxRetries=3", "node.crash=5@1500",
+                            "node.reclaimTimeout=5000"},
+                           "heavy", 12000),
+              "e1812795f9f6858a");
+}
+
 } // namespace
 } // namespace nifdy
