@@ -16,7 +16,9 @@
  * cycles, flit events and packet deliveries of the window, and the
  * work the routers and NICs did in it ("kernel.<tag>.work.*": input
  * ports visited, allocation attempts and switch requests examined,
- * summed over routers, and NIC pump runs). The
+ * summed over routers; NIC pump runs, pooled packets tested for
+ * NIFDY admission and retransmit snapshots examined, summed over
+ * NICs). The
  * fig2heavy config runs a second time with profile.enabled: the twin
  * must replay the exact same simulation (checked), and its step and
  * idle-step counts per component class go in the report as
@@ -72,6 +74,8 @@ struct Work
     std::uint64_t allocs = 0;   //!< router allocation attempts
     std::uint64_t requests = 0; //!< switch requests examined
     std::uint64_t nicPumps = 0; //!< NIC pump runs
+    std::uint64_t nicAdmissions = 0; //!< pooled packets tested
+    std::uint64_t nicTimers = 0;     //!< retransmit snapshots examined
 
     bool operator==(const Work &) const = default;
 };
@@ -87,8 +91,14 @@ workSoFar(Experiment &exp)
         w.allocs += rw.allocs;
         w.requests += rw.requests;
     }
-    for (NodeId n = 0; n < exp.numNodes(); ++n)
-        w.nicPumps += exp.nic(n).pumpRuns();
+    for (NodeId n = 0; n < exp.numNodes(); ++n) {
+        const Nic &nic = exp.nic(n);
+        w.nicPumps += nic.pumpRuns();
+        if (const auto *nn = dynamic_cast<const NifdyNic *>(&nic))
+            w.nicAdmissions += nn->admissionChecks();
+        if (const auto *ln = dynamic_cast<const LossyNifdyNic *>(&nic))
+            w.nicTimers += ln->timerChecks();
+    }
     return w;
 }
 
@@ -135,6 +145,8 @@ countWindow(Experiment &exp, Cycle warmup, Cycle cycles)
     r.work.allocs = work1.allocs - work0.allocs;
     r.work.requests = work1.requests - work0.requests;
     r.work.nicPumps = work1.nicPumps - work0.nicPumps;
+    r.work.nicAdmissions = work1.nicAdmissions - work0.nicAdmissions;
+    r.work.nicTimers = work1.nicTimers - work0.nicTimers;
     return r;
 }
 
@@ -198,6 +210,10 @@ benchMain(int argc, char **argv)
                               r.work.requests);
         args.report.addMetric("kernel." + tag + ".work.nic.pumps",
                               r.work.nicPumps);
+        args.report.addMetric("kernel." + tag + ".work.nic.admissions",
+                              r.work.nicAdmissions);
+        args.report.addMetric("kernel." + tag + ".work.nic.timers",
+                              r.work.nicTimers);
         t.row({tag, spec.topology,
                Table::num(static_cast<long>(spec.nodes)),
                Table::num(static_cast<long>(r.cycles)),
