@@ -9,7 +9,7 @@
 
 #include "net/packet.hh"
 #include "net/router.hh"
-#include "nic/nifdy.hh"
+#include "nic/retransmit.hh"
 #include "sim/log.hh"
 
 namespace nifdy
@@ -270,7 +270,9 @@ class PacketLifecycleChecker : public InvariantChecker
  * unacknowledged; every buffered receive-window slot holds a packet
  * whose monotone index lies inside the live window, whose wire
  * sequence number is its bulkSeq() encoding, and whose source
- * matches the dialog.
+ * matches the dialog. The NIC's two skips are exact: a class whose
+ * pool scan is skipped holds no admissible packet, and no lossy
+ * snapshot is due before the cycle its timer walk resumes.
  */
 class OptDisciplineChecker : public InvariantChecker
 {
@@ -308,6 +310,19 @@ class OptDisciplineChecker : public InvariantChecker
                     fail(at + ": two outstanding scalar packets for "
                               "destination " +
                          std::to_string(opt[i]));
+
+        for (NetClass cls : {NetClass::request, NetClass::reply})
+            if (nn.poolBlocked(cls) && nn.poolAdmits(cls))
+                fail(at + ": " + netClassName(cls) +
+                     " pool scan skipped while a pooled packet is "
+                     "admissible");
+
+        if (const auto *ln = dynamic_cast<const LossyNifdyNic *>(&nn))
+            if (ln->earliestDeadline() < ln->timerBound())
+                fail(at + ": retransmit snapshot due at cycle " +
+                     std::to_string(ln->earliestDeadline()) +
+                     ", timer walk skipped until " +
+                     std::to_string(ln->timerBound()));
 
         if (nn.bulkActive()) {
             int unacked = nn.bulkUnacked();

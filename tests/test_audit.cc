@@ -266,6 +266,31 @@ class BrokenEligibilityNic : public NifdyNic
     }
 };
 
+/** Admission that also reads the cycle, which no writer reports to
+ * the pool-blocked bits: nothing is admissible before cycle 200. */
+class ClockedEligibilityNic : public NifdyNic
+{
+  public:
+    using NifdyNic::NifdyNic;
+
+    void
+    step(Cycle now) override
+    {
+        now_ = now;
+        NifdyNic::step(now);
+    }
+
+  protected:
+    bool
+    eligibleScalar(const Packet &pkt, std::size_t idx) const override
+    {
+        return now_ >= 200 && NifdyNic::eligibleScalar(pkt, idx);
+    }
+
+  private:
+    Cycle now_ = 0;
+};
+
 /** Corrupts the wire sequence number of bulk packets past index 0
  * (the monotone index stays right, so the receiver buffers them). */
 class BulkSeqCorruptNic : public NifdyNic
@@ -367,6 +392,24 @@ TEST(AuditMutants, BrokenAdmissionCaughtByOptDiscipline)
     EXPECT_NE(msg.find("audit[opt-discipline]"), std::string::npos)
         << msg;
     EXPECT_NE(msg.find("two outstanding scalar packets"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(AuditMutants, UnwatchedAdmissionStateCaughtByOptDiscipline)
+{
+    // The scan before cycle 200 blocks the pool, and nothing tells
+    // the NIC when the clock opens admission, so the packet is
+    // admissible while its class's scan is skipped.
+    NifdyHarness h(smallConfig(), 4, "mesh2d", -1.0, 3000,
+                   mutateNode<ClockedEligibilityNic>(0));
+    h.ensureAudit();
+    h.send(0, 1);
+    std::string msg = panicMessage([&] { h.run(5000); });
+    EXPECT_NE(msg.find("audit[opt-discipline]"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("request pool scan skipped while a pooled "
+                       "packet is admissible"),
               std::string::npos)
         << msg;
 }
