@@ -4,11 +4,11 @@
                   out-of-class definition of a Steppable `step()`,
                   `Kernel::run`, the channel flit/credit push/pop
                   family and every router's `route()` (src/net/)
-                  and the NIC inject/eject family
-                  (src/nic/) must carry the NIFDY_HOT macro
-                  (src/sim/types.hh) on its definition. The macro is
-                  both a compiler hint and the anchor this linter
-                  uses to find hot regions.
+                  and the NIC inject/eject family and the lossy
+                  NIC's timer walk (src/nic/) must carry the
+                  NIFDY_HOT macro (src/sim/types.hh) on its
+                  definition. The macro is both a compiler hint and
+                  the anchor this linter uses to find hot regions.
   hot-alloc    -- no heap allocation inside a NIFDY_HOT function
                   body: no new/make_unique/make_shared, no
                   std::string building, no growable-container
@@ -41,7 +41,8 @@ HOT_FAMILIES = (
              "popCredit", "hasCredit", "route"}),
     ("nic", {"nextToInject", "onPacketDelivered", "pumpInject",
              "pumpEject", "acceptArrival", "deliverArrival",
-             "pushArrival", "needsArrivalSlot", "injectQueued"}),
+             "pushArrival", "needsArrivalSlot", "injectQueued",
+             "checkTimers"}),
 )
 
 #: Heap-allocating constructs. `new` is also covered by

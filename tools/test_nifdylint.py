@@ -309,6 +309,17 @@ def test_hot_required_covers_nic_slot_and_pump_queries():
                             {"src/nic/plainnic.cc": "NIFDY_HOT " + body})
 
 
+def test_hot_required_covers_lossy_timer_walk():
+    # checkTimers() runs once per lossy NIC per cycle: an unmarked
+    # definition under src/nic/ is flagged, a marked one passes.
+    body = ("void\nLossyNifdyNic::checkTimers(Cycle now)\n{\n"
+            "    (void)now;\n}\n")
+    vs = run_rule("hot-required", {"src/nic/retransmit.cc": body})
+    assert rules_hit(vs) == {"hot-required"}
+    assert not run_rule("hot-required",
+                        {"src/nic/retransmit.cc": "NIFDY_HOT " + body})
+
+
 # --- hot-alloc ----------------------------------------------------------
 
 def test_hot_alloc_positive():
