@@ -23,6 +23,7 @@
 #include "harness/experiment.hh"
 #include "sim/config.hh"
 #include "sim/report.hh"
+#include "traffic/collective.hh"
 #include "traffic/cshift.hh"
 #include "traffic/synthetic.hh"
 
@@ -34,8 +35,9 @@ namespace
 /**
  * Run one experiment with the anatomy and congestion observers on:
  * @p args are run_experiment's key=value arguments, @p workload is
- * "heavy" (runFor @p cycles) or "cshift" (runUntilDone @p cycles).
- * Returns hex16 of fnv1a64 over the report's json(false).
+ * "heavy" (runFor @p cycles), "cshift" or "collective" (runUntilDone
+ * @p cycles). Returns hex16 of fnv1a64 over the report's
+ * json(false).
  */
 std::string
 goldenDigest(std::initializer_list<const char *> args,
@@ -52,8 +54,18 @@ goldenDigest(std::initializer_list<const char *> args,
     Experiment exp(cfg);
     CShiftBoard board(exp.numNodes());
     const bool cshift = workload == "cshift";
+    const bool collective = workload == "collective";
     for (NodeId n = 0; n < exp.numNodes(); ++n) {
-        if (cshift) {
+        if (collective) {
+            // run_experiment's collective workload: the software tree
+            // takes the shape the NIC engines embed.
+            CollectiveParams coll;
+            coll.arity = cfg.coll.arity;
+            exp.setWorkload(n, std::make_unique<CollectiveWorkload>(
+                                   exp.proc(n), exp.msg(n),
+                                   exp.barrier(), exp.numNodes(), coll,
+                                   cfg.seed));
+        } else if (cshift) {
             CShiftParams shift;
             shift.wordsPerPair = 40;
             exp.nic(n).setInjectBoard(&board.injected);
@@ -68,7 +80,7 @@ goldenDigest(std::initializer_list<const char *> args,
                                    SyntheticParams::heavy(), cfg.seed));
         }
     }
-    if (cshift)
+    if (cshift || collective)
         exp.runUntilDone(cycles);
     else
         exp.runFor(cycles);
@@ -204,6 +216,17 @@ TEST(Golden, LossyRetryCapDeadPeers)
                             "node.reclaimTimeout=5000"},
                            "heavy", 12000),
               "e1812795f9f6858a");
+}
+
+TEST(Golden, CollOffloadCrash)
+{
+    // NIC-resident collective engines with one node crash: the engine
+    // retransmits, probes and prunes the dead subtree, and the
+    // survivors finish degraded.
+    EXPECT_EQ(goldenDigest({"topology=fattree", "nodes=16",
+                            "coll.offload=nic", "node.crash=6@1000"},
+                           "collective", 400000),
+              "e72e1f745d6f9a4b");
 }
 
 } // namespace
