@@ -14,14 +14,15 @@
  *
  * Each config warms up for a tenth of the window, then counts the
  * cycles, flit events and packet deliveries of the window, and the
- * work the routers and NICs did in it ("kernel.<tag>.work.*": input
- * ports visited, allocation attempts and switch requests examined,
- * summed over routers; NIC pump runs, pooled packets tested for
- * NIFDY admission and retransmit snapshots examined, summed over
- * NICs). The
+ * work the kernel, routers and NICs did in it ("kernel.<tag>.work.*":
+ * component steps the kernel ran, which sleeping NICs and processors
+ * skip; input ports visited, allocation attempts and switch requests
+ * examined, summed over routers; NIC pump runs, pooled packets
+ * tested for NIFDY admission and retransmit snapshots examined,
+ * summed over NICs). The
  * fig2heavy config runs a second time with profile.enabled: the twin
- * must replay the exact same simulation (checked), and its step and
- * idle-step counts per component class go in the report as
+ * must replay the exact same simulation and steps (checked), and its
+ * step and idle-step counts per component class go in the report as
  * "profile.fig2heavy.*" metrics.
  *
  * Every metric is a pure function of the arguments; only the
@@ -67,9 +68,10 @@ const GridSpec grid[] = {
      0.0},
 };
 
-/** Router and NIC work, summed over the machine. */
+/** Kernel, router and NIC work, summed over the machine. */
 struct Work
 {
+    std::uint64_t steps = 0;    //!< component steps the kernel ran
     std::uint64_t inputs = 0;   //!< router input ports visited
     std::uint64_t allocs = 0;   //!< router allocation attempts
     std::uint64_t requests = 0; //!< switch requests examined
@@ -84,6 +86,7 @@ Work
 workSoFar(Experiment &exp)
 {
     Work w;
+    w.steps = exp.kernel().steps();
     Network &net = exp.network();
     for (int r = 0; r < net.numRouters(); ++r) {
         const Router::Work &rw = net.router(r).work();
@@ -141,6 +144,7 @@ countWindow(Experiment &exp, Cycle warmup, Cycle cycles)
     r.flits = exp.network().totalFlitsSwitched() - flits0;
     r.packets = exp.packetsDelivered() - pkts0;
     const Work work1 = workSoFar(exp);
+    r.work.steps = work1.steps - work0.steps;
     r.work.inputs = work1.inputs - work0.inputs;
     r.work.allocs = work1.allocs - work0.allocs;
     r.work.requests = work1.requests - work0.requests;
@@ -202,6 +206,8 @@ benchMain(int argc, char **argv)
                               std::uint64_t(r.cycles));
         args.report.addMetric("kernel." + tag + ".flits", r.flits);
         args.report.addMetric("kernel." + tag + ".packets", r.packets);
+        args.report.addMetric("kernel." + tag + ".work.kernel.steps",
+                              r.work.steps);
         args.report.addMetric("kernel." + tag + ".work.router.inputs",
                               r.work.inputs);
         args.report.addMetric("kernel." + tag + ".work.router.allocs",

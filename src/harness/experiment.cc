@@ -238,6 +238,8 @@ Experiment::Experiment(const ExperimentConfig &cfg) : cfg_(cfg)
                                         topologyInOrder(cfg_.topology));
         for (const auto &nic : nics_)
             audit_->watchNic(nic.get());
+        for (const auto &proc : procs_)
+            audit_->watchProcessor(proc.get());
         for (int r = 0; r < net_->numRouters(); ++r)
             audit_->watchRouter(&net_->router(r));
         for (int c = 0; c < net_->numChannels(); ++c)

@@ -120,6 +120,8 @@ Channel::pushCredit(int vc, Cycle now)
     credits_.push_back({now + 1, vc}); // nifdy:alloc-ok(Ring grows to high-water then reuses)
     if (creditMask_)
         *creditMask_ |= creditBit_;
+    if (creditSleeper_)
+        creditSleeper_->wakeBy(now + 1);
 }
 
 NIFDY_HOT int

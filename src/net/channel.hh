@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "net/packet.hh"
+#include "sim/kernel.hh"
 #include "sim/ring.hh"
 #include "sim/types.hh"
 
@@ -51,7 +52,9 @@ struct ChannelParams
  *
  * Exact while the wheel has more slots than any attached channel's
  * flight time (fit()), so no arrival aliases an earlier cycle, and
- * the consumer pops every flit in the cycle it becomes visible.
+ * the consumer pops every flit in the cycle it becomes visible. A
+ * consumer that sleeps names itself (wakeOnMark()), and each mark
+ * wakes it by the arrival cycle.
  */
 class ArrivalWheel
 {
@@ -75,7 +78,12 @@ class ArrivalWheel
     void mark(Cycle at, std::uint64_t ports)
     {
         slots_[at & mask_] |= ports;
+        if (sleeper_)
+            sleeper_->wakeBy(at);
     }
+
+    /** Wake @p consumer by every marked cycle. */
+    void wakeOnMark(Steppable *consumer) { sleeper_ = consumer; }
 
     /**
      * Make room for flits that take @p flight cycles: grow to the
@@ -100,6 +108,7 @@ class ArrivalWheel
     std::vector<std::uint64_t> heap_;
     std::uint64_t *slots_ = inline_;
     Cycle mask_ = 0;
+    Steppable *sleeper_ = nullptr;
 };
 
 /**
@@ -130,6 +139,12 @@ class Channel
     }
     /** Begin transmitting @p flit; requires canPush(). */
     void push(const Flit &flit, Cycle now);
+    /** The first cycle class @p cls's serializer is free (canPush()
+     * from then on, outside down windows). */
+    Cycle freeAt(NetClass cls) const
+    {
+        return nextFree_[params_.timeSliced ? static_cast<int>(cls) : 0];
+    }
     //! @}
 
     //! @name Receiver side
@@ -141,6 +156,12 @@ class Channel
     }
     /** Remove and return the next received flit. */
     Flit pop(Cycle now);
+    /** The cycle the oldest flit in flight becomes visible
+     * (neverCycle when none is). */
+    Cycle nextArrival() const
+    {
+        return flits_.empty() ? neverCycle : flits_.front().first;
+    }
     //! @}
 
     //! @name Credit path (receiver -> sender)
@@ -154,6 +175,12 @@ class Channel
     }
     /** Remove and return the next credit's VC index. */
     int popCredit(Cycle now);
+    /** The cycle the oldest queued credit becomes visible (neverCycle
+     * when none is queued). */
+    Cycle nextCredit() const
+    {
+        return credits_.empty() ? neverCycle : credits_.front().first;
+    }
     //! @}
 
     //! @name Pending-work bits
@@ -171,6 +198,9 @@ class Channel
      * instead of polling every output port.
      */
     void watchCredits(std::uint64_t *mask, int bit);
+    /** Wake @p sender by the cycle each pushCredit() becomes
+     * visible. */
+    void wakeOnCredit(Steppable *sender) { creditSleeper_ = sender; }
     //! @}
 
     /** Cycles from push() until the flit is visible. */
@@ -248,10 +278,11 @@ class Channel
 
     ChannelParams params_;
     std::vector<DownWindow> down_;
-    /** watchArrivals()/watchCredits() targets; null when
-     * unwatched. */
+    /** watchArrivals()/watchCredits()/wakeOnCredit() targets; null
+     * when unwatched. */
     ArrivalWheel *wheel_ = nullptr;
     std::uint64_t *creditMask_ = nullptr;
+    Steppable *creditSleeper_ = nullptr;
     std::uint64_t wheelBit_ = 0;
     std::uint64_t creditBit_ = 0;
     /** Serializer next-free time; [0] shared or per class. */

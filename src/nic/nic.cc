@@ -1,5 +1,7 @@
 #include "nic/nic.hh"
 
+#include <algorithm>
+
 #include "coll/coll.hh"
 #include "sim/log.hh"
 
@@ -21,6 +23,8 @@ Nic::Nic(NodeId node, const Network::NodePorts &ports,
                                     ports_.injectDepth);
     ejectWheel_.fit(ports_.eject->flightCycles());
     ports_.eject->watchArrivals(&ejectWheel_, 0);
+    ejectWheel_.wakeOnMark(this);
+    ports_.inject->wakeOnCredit(this);
 }
 
 NIFDY_HOT Packet *
@@ -38,6 +42,7 @@ Nic::pollReceive(Cycle now)
     arrivals_.pop_front();
     probes_->accept(*pkt, now);
     onProcessorAccept(pkt, now);
+    wakeNow();
     return pkt;
 }
 
@@ -78,13 +83,42 @@ Nic::step(Cycle now)
     // reads them, after absorbing every visible one.
     if (ejectWheel_.take(now) || heldFlits_ > 0)
         pumpEject(now);
-    if (outStream_[0].pkt || outStream_[1].pkt || coll_ || injectQueued())
+    if (outStream_[0].pkt || outStream_[1].pkt || coll_ ||
+        injectQueued(NetClass::request) || injectQueued(NetClass::reply))
         pumpInject(now);
+    sleepUntil(nextWork(now));
+}
+
+NIFDY_HOT Cycle
+Nic::nextWork(Cycle now) const
+{
+    // A held head retries its arrivals slot, the collective engine
+    // keeps its own timers, and the two observers classify every
+    // cycle.
+    if (heldFlits_ > 0 || coll_ || probes_->anatomy() ||
+        probes_->congestion())
+        return now + 1;
+    Cycle at = ports_.eject->nextArrival();
+    const Channel *ch = ports_.inject;
+    for (int cls = 0; cls < numNetClasses; ++cls) {
+        const NetClass nc = static_cast<NetClass>(cls);
+        if (!outStream_[cls].pkt && !injectQueued(nc))
+            continue;
+        // A pump that ran this step absorbed every visible credit, so
+        // a starved class waits for the next one (a later one wakes
+        // the NIC through Channel::pushCredit()).
+        Cycle ready = ch->freeAt(nc);
+        if (injectCredits_[cls * params_.vcsPerClass] <= 0)
+            ready = std::max(ready, ch->nextCredit());
+        at = std::min(at, ready);
+    }
+    return std::max(at, now + 1);
 }
 
 NIFDY_HOT bool
-Nic::injectQueued() const
+Nic::injectQueued(NetClass cls) const
 {
+    (void)cls;
     return true;
 }
 
@@ -139,6 +173,7 @@ Nic::crash(Cycle now)
     onCrash(now);
     if (coll_)
         coll_->onCrash(now);
+    wakeNow();
 }
 
 void
@@ -150,6 +185,7 @@ Nic::restart(Cycle now)
     probes_->nodeRestart(node_, epoch_, now);
     if (coll_)
         coll_->onRestart(now);
+    wakeNow();
 }
 
 NIFDY_HOT bool

@@ -61,7 +61,8 @@ class Nic : public Steppable
     /** Next received packet without removing it (nullptr if none). */
     Packet *peekReceive();
 
-    /** Pop the next received packet (nullptr if none). */
+    /** Pop the next received packet (nullptr if none); a popped
+     * packet wakes the NIC (its ack and window may go). */
     Packet *pollReceive(Cycle now);
 
     /** Packets waiting in the arrivals FIFO. */
@@ -103,7 +104,23 @@ class Nic : public Steppable
     CollEngine *collEngine() const { return coll_; }
     //! @}
 
+    /** Run the pumps that may move a flit, then sleep until
+     * nextWork(). */
     void step(Cycle now) override;
+
+    /**
+     * The first cycle after @p now on which step() may act: the
+     * eject channel's next arrival, and for each class that is
+     * streaming or has something queued (injectQueued()) the cycle
+     * its serializer frees or, while it holds no credit, the next
+     * credit. A NIC with held flits, a collective engine, or the
+     * anatomy or the congestion observer attached acts (or records)
+     * every cycle. Subclasses add their own deadlines.
+     *
+     * Wakes before it: the eject wheel's marks and returned credits
+     * (Channel), and send(), pollReceive(), crash() and restart().
+     */
+    virtual Cycle nextWork(Cycle now) const;
 
     //! @name Endpoint fault domain (fail-stop crash / cold restart)
     //! @{
@@ -166,12 +183,14 @@ class Nic : public Steppable
     virtual Packet *nextToInject(NetClass cls, Cycle now) = 0;
 
     /**
-     * Could nextToInject() return a packet? When this says no, step()
-     * skips the injection pump on cycles with no packet streaming, so
-     * a false answer must mean nextToInject() would return nullptr for
-     * both classes without side effects. Default: always maybe.
+     * Could nextToInject(@p cls) return a packet? When this says no
+     * for both classes, step() skips the injection pump on cycles
+     * with no packet streaming, and nextWork() ignores the class
+     * while it is not streaming, so a false answer must mean
+     * nextToInject(@p cls) would return nullptr without side
+     * effects. Default: always maybe.
      */
-    virtual bool injectQueued() const;
+    virtual bool injectQueued(NetClass cls) const;
 
     /**
      * Does @p pkt need an arrivals-FIFO slot before its head flit is

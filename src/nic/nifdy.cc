@@ -49,6 +49,7 @@ NifdyNic::send(Packet *pkt, Cycle now)
     probes_->send(*pkt, node_, now);
     sendPool_.push_back(pkt);
     admissionChanged();
+    wakeNow();
     // Record a deferral when protocol admission (OPT slot, window
     // room, per-destination order) cannot be immediate; the matching
     // opt.admit/window.admit event closes the gap on the timeline.
@@ -63,6 +64,12 @@ NifdyNic::step(Cycle now)
     if (reclaimTimeout_ > 0)
         reclaimStalled(now);
     Nic::step(now);
+}
+
+NIFDY_HOT Cycle
+NifdyNic::nextWork(Cycle now) const
+{
+    return reclaimTimeout_ > 0 ? now + 1 : Nic::nextWork(now);
 }
 
 bool
@@ -335,11 +342,11 @@ NifdyNic::nextToInject(NetClass cls, Cycle now)
 }
 
 NIFDY_HOT bool
-NifdyNic::injectQueued() const
+NifdyNic::injectQueued(NetClass cls) const
 {
-    const bool poolMayGo =
-        !sendPool_.empty() && !(poolBlocked_[0] && poolBlocked_[1]);
-    return !ackQueue_.empty() || poolMayGo || out_.closePending;
+    if (!sendPool_.empty() && !poolBlocked_[static_cast<int>(cls)])
+        return true;
+    return (out_.closePending && out_.cls == cls) || hasAckQueued(cls);
 }
 
 NIFDY_HOT bool

@@ -80,6 +80,9 @@ class NifdyNic : public Nic
     bool canSend(const Packet &pkt) const override;
     void send(Packet *pkt, Cycle now) override;
     void step(Cycle now) override;
+    /** Every cycle while a reclaim timeout is set (reclaimStalled()
+     * polls the clock). */
+    Cycle nextWork(Cycle now) const override;
     bool transitIdle() const override;
 
     const char *profileClass() const override { return "nifdy-nic"; }
@@ -195,8 +198,9 @@ class NifdyNic : public Nic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
-    /** An ack, a pooled send or a dialog close is queued. */
-    bool injectQueued() const override;
+    /** An ack, a pooled send whose class scan is not skipped, or a
+     * dialog close of class @p cls is queued. */
+    bool injectQueued(NetClass cls) const override;
     /** Scalar packets only: acks are consumed here, and bulk packets
      * land in the window their dialog's grant set aside. */
     bool needsArrivalSlot(const Packet &pkt) const override;

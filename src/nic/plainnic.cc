@@ -27,6 +27,7 @@ BufferedNic::send(Packet *pkt, Cycle now)
     pkt->createdAt = now;
     probes_->send(*pkt, node_, now);
     sendQueue_.push_back(pkt); // nifdy:alloc-ok(Ring grows to outQueue high-water then reuses)
+    wakeNow();
 }
 
 NIFDY_HOT void
@@ -60,9 +61,9 @@ BufferedNic::nextToInject(NetClass cls, Cycle now)
 }
 
 NIFDY_HOT bool
-BufferedNic::injectQueued() const
+BufferedNic::injectQueued(NetClass cls) const
 {
-    return !sendQueue_.empty();
+    return !sendQueue_.empty() && sendQueue_.front()->netClass == cls;
 }
 
 void

@@ -41,8 +41,8 @@ class BufferedNic : public Nic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
-    /** The send queue holds a packet. */
-    bool injectQueued() const override;
+    /** The send queue's front packet is of class @p cls. */
+    bool injectQueued(NetClass cls) const override;
     /** Every packet (an ack here is a protocol error). */
     bool needsArrivalSlot(const Packet &pkt) const override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;

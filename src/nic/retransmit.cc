@@ -40,6 +40,13 @@ LossyNifdyNic::step(Cycle now)
     NifdyNic::step(now);
 }
 
+NIFDY_HOT Cycle
+LossyNifdyNic::nextWork(Cycle now) const
+{
+    return std::min(NifdyNic::nextWork(now),
+                    std::max(nextDeadline_, now + 1));
+}
+
 bool
 LossyNifdyNic::transitIdle() const
 {
@@ -232,9 +239,12 @@ LossyNifdyNic::nextToInject(NetClass cls, Cycle now)
 }
 
 NIFDY_HOT bool
-LossyNifdyNic::injectQueued() const
+LossyNifdyNic::injectQueued(NetClass cls) const
 {
-    return !retxQueue_.empty() || NifdyNic::injectQueued();
+    for (const Packet *p : retxQueue_)
+        if (p->netClass == cls)
+            return true;
+    return NifdyNic::injectQueued(cls);
 }
 
 NIFDY_HOT void

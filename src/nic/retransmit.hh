@@ -74,6 +74,8 @@ class LossyNifdyNic : public NifdyNic
                   const LossyConfig &lossy, PacketPool &pool);
 
     void step(Cycle now) override;
+    /** NIFDY's next work, or the timer bound if earlier. */
+    Cycle nextWork(Cycle now) const override;
     bool transitIdle() const override;
 
     //! @name Recovery statistics
@@ -109,8 +111,8 @@ class LossyNifdyNic : public NifdyNic
 
   protected:
     Packet *nextToInject(NetClass cls, Cycle now) override;
-    /** NIFDY's queues, or a retransmission. */
-    bool injectQueued() const override;
+    /** NIFDY's queues, or a retransmission of class @p cls. */
+    bool injectQueued(NetClass cls) const override;
     void onPacketDelivered(Packet *pkt, Cycle now) override;
     void onDataInjected(Packet *pkt, Cycle now) override;
     void onAckProcessed(const Packet &ack, Cycle now) override;

@@ -15,22 +15,22 @@ void
 Processor::setOffline(bool offline, Cycle now)
 {
     offline_ = offline;
-    if (offline)
+    if (offline) {
         busyUntil_ = now; // whatever it was computing dies with it
+        if (kernel_)
+            kernel_->busyHorizonDropped();
+    }
+    wakeNow();
 }
 
 NIFDY_HOT void
 Processor::step(Cycle now)
 {
-    if (offline_)
-        return;
-    if (busy(now)) {
-        if (kernel_)
-            kernel_->noteActivity();
-        return;
-    }
-    if (workload_)
+    // A busy cycle needs no step: the kernel's busy horizon counts it
+    // as activity (compute()), and the processor sleeps through it.
+    if (!offline_ && !busy(now) && workload_)
         workload_->tick(now);
+    sleepUntil(nextWork(now));
 }
 
 void
@@ -41,8 +41,10 @@ Processor::compute(Cycle cycles, Cycle now)
     // Additive: charging twice in one tick stacks the costs.
     busyUntil_ = std::max(busyUntil_, now) + cycles;
     cyclesBusy_ += cycles;
-    if (kernel_)
+    if (kernel_) {
         kernel_->noteActivity();
+        kernel_->noteBusyUntil(busyUntil_);
+    }
 }
 
 bool

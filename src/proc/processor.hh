@@ -9,6 +9,8 @@
 #ifndef NIFDY_PROC_PROCESSOR_HH
 #define NIFDY_PROC_PROCESSOR_HH
 
+#include <algorithm>
+
 #include "nic/nic.hh"
 #include "sim/kernel.hh"
 
@@ -30,9 +32,17 @@ class Processor : public Steppable
   public:
     Processor(NodeId id, Nic &nic, const ProcParams &params);
 
+    /** Tick the workload when not busy, then sleep until the next
+     * cycle, the end of the busy time, or (offline) a restart. */
     void step(Cycle now) override;
 
     const char *profileClass() const override { return "proc"; }
+
+    /** The first cycle after @p now on which step() may act. */
+    Cycle nextWork(Cycle now) const
+    {
+        return offline_ ? neverCycle : std::max(busyUntil_, now + 1);
+    }
 
     /** Attach the workload driving this processor (non-owning). */
     void setWorkload(Workload *w) { workload_ = w; }
@@ -40,7 +50,8 @@ class Processor : public Steppable
     /**
      * Take the processor offline (its node crashed) or bring it
      * back. Offline processors tick nothing and charge nothing; any
-     * in-progress busy time is forfeit.
+     * in-progress busy time is forfeit, and the kernel's busy
+     * horizon drops with it.
      */
     void setOffline(bool offline, Cycle now);
 
@@ -78,7 +89,7 @@ class Processor : public Steppable
     //! @}
 
     bool busy(Cycle now) const { return now < busyUntil_; }
-    Cycle busyUntil() const { return busyUntil_; }
+    Cycle busyUntil() const override { return busyUntil_; }
 
     //! @name Accounting
     //! @{

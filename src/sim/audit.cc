@@ -10,6 +10,7 @@
 #include "net/packet.hh"
 #include "net/router.hh"
 #include "nic/retransmit.hh"
+#include "proc/processor.hh"
 #include "sim/log.hh"
 
 namespace nifdy
@@ -386,6 +387,48 @@ class OptDisciplineChecker : public InvariantChecker
 };
 
 /**
+ * Sleep discipline (DESIGN.md section 2.1): the kernel skips a
+ * component until its wake, which is exact only if no step before
+ * it could act. At each end of cycle every NIC's wake is no later
+ * than its next work recomputed from its state (Nic::nextWork()),
+ * and every processor's no later than the end of its busy time
+ * (Processor::nextWork()), so an event that gave a sleeper work
+ * without waking it is named here.
+ */
+class WakeDisciplineChecker : public InvariantChecker
+{
+  public:
+    const char *name() const override { return "wake-discipline"; }
+
+    void
+    endCycle(Cycle now) override
+    {
+        for (const Nic *nic : audit()->nics())
+            check("NIC", nic->node(), nic->wake(), nic->nextWork(now),
+                  now);
+        for (const Processor *proc : audit()->processors())
+            check("processor", proc->id(), proc->wake(),
+                  proc->nextWork(now), now);
+    }
+
+  private:
+    void
+    check(const char *kind, NodeId node, Cycle wake, Cycle work,
+          Cycle now) const
+    {
+        if (wake <= work)
+            return;
+        auto at = [](Cycle c) {
+            return c == neverCycle ? std::string("never")
+                                   : "cycle " + std::to_string(c);
+        };
+        fail("node " + std::to_string(node) + " " + kind +
+             " sleeps until " + at(wake) + " but has work at " +
+             at(work) + " (end of cycle " + std::to_string(now) + ")");
+    }
+};
+
+/**
  * Capacity conservation: router buffer occupancy never exceeds the
  * configured total depth, and no channel carries more flits than the
  * credit protocol allows (its attached consumer's buffer capacity).
@@ -636,6 +679,7 @@ Audit::installStandardCheckers(bool expectInOrder)
     add(std::make_unique<CapacityChecker>());
     add(std::make_unique<FaultDisciplineChecker>());
     add(std::make_unique<EpochDisciplineChecker>());
+    add(std::make_unique<WakeDisciplineChecker>());
     if (expectInOrder)
         add(std::make_unique<DeliveryOrderChecker>());
 }
@@ -645,6 +689,13 @@ Audit::watchNic(Nic *nic)
 {
     panic_if(!nic, "Audit::watchNic(nullptr)");
     nics_.push_back(nic);
+}
+
+void
+Audit::watchProcessor(Processor *proc)
+{
+    panic_if(!proc, "Audit::watchProcessor(nullptr)");
+    processors_.push_back(proc);
 }
 
 void

@@ -39,6 +39,7 @@ namespace nifdy
 struct Packet;
 class Channel;
 class Nic;
+class Processor;
 class Router;
 class Audit;
 
@@ -131,8 +132,9 @@ class Audit
 
     /**
      * Install the standard checker set: packet lifecycle, OPT/bulk
-     * discipline, capacity, and (when @p expectInOrder) per
-     * (src, dst) delivery ordering.
+     * discipline, capacity, fault and epoch discipline, the sleep
+     * discipline of NICs and processors, and (when @p expectInOrder)
+     * per (src, dst) delivery ordering.
      */
     void installStandardCheckers(bool expectInOrder);
 
@@ -145,10 +147,15 @@ class Audit
     };
 
     void watchNic(Nic *nic);
+    void watchProcessor(Processor *proc);
     void watchRouter(Router *router);
     void watchChannel(Channel *ch, int capacityFlits = 0);
 
     const std::vector<Nic *> &nics() const { return nics_; }
+    const std::vector<Processor *> &processors() const
+    {
+        return processors_;
+    }
     const std::vector<Router *> &routers() const { return routers_; }
     const std::vector<WatchedChannel> &channels() const
     {
@@ -215,6 +222,7 @@ class Audit
 
     std::vector<std::unique_ptr<InvariantChecker>> checkers_;
     std::vector<Nic *> nics_;
+    std::vector<Processor *> processors_;
     std::vector<Router *> routers_;
     std::vector<WatchedChannel> channels_;
     /** Provenance trails keyed by packet id (pruned on release). */

@@ -15,6 +15,25 @@ Kernel::add(Steppable *obj)
     objects_.push_back(obj);
 }
 
+void
+Kernel::busyHorizonDropped()
+{
+    busyHorizon_ = 0;
+    for (const Steppable *obj : objects_)
+        noteBusyUntil(obj->busyUntil());
+}
+
+NIFDY_HOT void
+Kernel::closeCycle(std::uint64_t before)
+{
+    const bool active = activityEvents_ != before || now_ < busyHorizon_;
+    ++now_;
+    if (active)
+        idleCycles_ = 0;
+    else
+        ++idleCycles_;
+}
+
 NIFDY_HOT void
 Kernel::step()
 {
@@ -23,14 +42,14 @@ Kernel::step()
         return;
     }
     const std::uint64_t before = activityEvents_;
-    for (Steppable *obj : objects_)
+    for (Steppable *obj : objects_) {
+        if (obj->wake() > now_)
+            continue;
         obj->step(now_);
+        ++steps_;
+    }
     probes_.endCycle(now_);
-    ++now_;
-    if (activityEvents_ != before)
-        idleCycles_ = 0;
-    else
-        ++idleCycles_;
+    closeCycle(before);
 }
 
 NIFDY_HOT void
@@ -44,9 +63,14 @@ Kernel::stepProfiled()
         // Chained clock: every read both closes one account's
         // segment and opens the next, so the per-component and
         // per-phase deltas telescope to the loop total exactly.
+        // A sleeping component reads no clock: its skip is charged
+        // to the next component that steps.
         p.beginTimed();
         for (std::size_t i = 0; i < objects_.size(); ++i) {
+            if (objects_[i]->wake() > now_)
+                continue;
             objects_[i]->step(now_);
+            ++steps_;
             const std::uint64_t after = activityEvents_;
             p.componentTimed(i, after != prev);
             prev = after;
@@ -59,7 +83,10 @@ Kernel::stepProfiled()
         p.endTimed();
     } else {
         for (std::size_t i = 0; i < objects_.size(); ++i) {
+            if (objects_[i]->wake() > now_)
+                continue;
             objects_[i]->step(now_);
+            ++steps_;
             const std::uint64_t after = activityEvents_;
             p.componentStep(i, after != prev);
             prev = after;
@@ -67,11 +94,7 @@ Kernel::stepProfiled()
         probes_.endCycle(now_);
     }
     p.countCycle();
-    ++now_;
-    if (activityEvents_ != before)
-        idleCycles_ = 0;
-    else
-        ++idleCycles_;
+    closeCycle(before);
 }
 
 NIFDY_HOT Cycle

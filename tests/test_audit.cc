@@ -2,9 +2,9 @@
  * @file
  * Invariant-audit layer tests: a clean run under full auditing
  * raises nothing, and seeded fault-injection mutants -- NICs that
- * double-send, swallow acks, break admission, corrupt bulk sequence
- * numbers, or reorder a bulk window -- are each caught by exactly
- * the intended checker.
+ * double-send, swallow acks, break admission, sleep through a send,
+ * corrupt bulk sequence numbers, or reorder a bulk window -- are
+ * each caught by exactly the intended checker.
  */
 
 #include <gtest/gtest.h>
@@ -267,28 +267,39 @@ class BrokenEligibilityNic : public NifdyNic
 };
 
 /** Admission that also reads the cycle, which no writer reports to
- * the pool-blocked bits: nothing is admissible before cycle 200. */
+ * the pool-blocked bits: nothing is admissible before cycle 200. It
+ * reads the kernel's clock, which runs while the NIC sleeps. */
 class ClockedEligibilityNic : public NifdyNic
 {
   public:
     using NifdyNic::NifdyNic;
 
-    void
-    step(Cycle now) override
-    {
-        now_ = now;
-        NifdyNic::step(now);
-    }
+    /** The clock every instance reads; the test sets it. */
+    static inline const Kernel *clock = nullptr;
 
   protected:
     bool
     eligibleScalar(const Packet &pkt, std::size_t idx) const override
     {
-        return now_ >= 200 && NifdyNic::eligibleScalar(pkt, idx);
+        return clock->now() >= 200 &&
+               NifdyNic::eligibleScalar(pkt, idx);
     }
+};
 
-  private:
-    Cycle now_ = 0;
+/** Its send() leaves the NIC asleep, so the kernel would skip the
+ * pooled packet until some other event woke the NIC. */
+class SleepySendNic : public NifdyNic
+{
+  public:
+    using NifdyNic::NifdyNic;
+
+    void
+    send(Packet *pkt, Cycle now) override
+    {
+        const Cycle wake = this->wake();
+        NifdyNic::send(pkt, now);
+        sleepUntil(wake);
+    }
 };
 
 /** Corrupts the wire sequence number of bulk packets past index 0
@@ -403,6 +414,7 @@ TEST(AuditMutants, UnwatchedAdmissionStateCaughtByOptDiscipline)
     // admissible while its class's scan is skipped.
     NifdyHarness h(smallConfig(), 4, "mesh2d", -1.0, 3000,
                    mutateNode<ClockedEligibilityNic>(0));
+    ClockedEligibilityNic::clock = &h.kernel;
     h.ensureAudit();
     h.send(0, 1);
     std::string msg = panicMessage([&] { h.run(5000); });
@@ -410,6 +422,22 @@ TEST(AuditMutants, UnwatchedAdmissionStateCaughtByOptDiscipline)
         << msg;
     EXPECT_NE(msg.find("request pool scan skipped while a pooled "
                        "packet is admissible"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(AuditMutants, SleepingSendCaughtByWakeDiscipline)
+{
+    NifdyHarness h(smallConfig(), 4, "mesh2d", -1.0, 3000,
+                   mutateNode<SleepySendNic>(0));
+    h.ensureAudit();
+    h.run(100); // nothing to do: node 0's NIC sleeps
+    h.send(0, 1);
+    std::string msg = panicMessage([&] { h.run(1000); });
+    EXPECT_NE(msg.find("audit[wake-discipline]"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("node 0 NIC sleeps until never but has work at "
+                       "cycle "),
               std::string::npos)
         << msg;
 }

@@ -17,18 +17,26 @@
  * Experiments are also re-entrant: each one's observers hang off its
  * own kernel's probe bus, so two experiments stepped alternately, or
  * run on two threads, each report exactly what they report alone.
+ *
+ * Sleeping components are exact: a run whose NICs and processors are
+ * woken before every cycle reports what the run that lets them sleep
+ * does.
  */
 
 #include <exception>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
 #include "sim/config.hh"
 #include "sim/report.hh"
+#include "traffic/collective.hh"
+#include "traffic/cshift.hh"
 #include "traffic/synthetic.hh"
 
 namespace nifdy
@@ -187,6 +195,123 @@ TEST(Determinism, ExperimentsOnTwoThreadsMatchSoloRuns)
     }
     for (int i = 0; i < 2; ++i)
         EXPECT_EQ(threaded[i], solo[i]) << "experiment " << i;
+}
+
+/** One experiment's report and the steps its kernel ran. */
+struct SteppedRun
+{
+    std::string report;
+    std::uint64_t steps = 0;
+};
+
+/**
+ * Run @p conf's experiment for @p cycles cycles, one kernel step at a
+ * time, with @p workload ("heavy", "cshift" or "collective") on every
+ * node. @p awake wakes every NIC and processor before each step, so
+ * none of them sleeps.
+ */
+SteppedRun
+runStepped(const Config &conf, const std::string &workload, Cycle cycles,
+           bool awake)
+{
+    ExperimentConfig cfg = experimentFromConfig(conf);
+    Experiment exp(cfg);
+    CShiftBoard board(exp.numNodes());
+    for (NodeId n = 0; n < exp.numNodes(); ++n) {
+        std::unique_ptr<Workload> w;
+        if (workload == "cshift") {
+            CShiftParams shift;
+            shift.wordsPerPair = 40;
+            exp.nic(n).setInjectBoard(&board.injected);
+            w = std::make_unique<CShiftWorkload>(
+                exp.proc(n), exp.msg(n), exp.barrier(), exp.numNodes(),
+                shift, board, cfg.seed);
+        } else if (workload == "collective") {
+            CollectiveParams coll;
+            coll.arity = cfg.coll.arity;
+            coll.dataMsgs = 1;
+            w = std::make_unique<CollectiveWorkload>(
+                exp.proc(n), exp.msg(n), exp.barrier(), exp.numNodes(),
+                coll, cfg.seed);
+        } else {
+            w = std::make_unique<SyntheticWorkload>(
+                exp.proc(n), exp.msg(n), exp.barrier(), exp.numNodes(),
+                SyntheticParams::heavy(), cfg.seed);
+        }
+        exp.setWorkload(n, std::move(w));
+    }
+    for (Cycle c = 0; c < cycles; ++c) {
+        if (awake) {
+            for (NodeId n = 0; n < exp.numNodes(); ++n) {
+                exp.nic(n).wakeNow();
+                exp.proc(n).wakeNow();
+            }
+        }
+        exp.kernel().step();
+    }
+    return {report(conf, exp, false), exp.kernel().steps()};
+}
+
+TEST(Determinism, SleepingMatchesAlwaysAwake)
+{
+    struct Case
+    {
+        const char *name;
+        std::vector<std::pair<const char *, const char *>> args;
+        const char *workload;
+        Cycle cycles;
+    };
+    const Case cases[] = {
+        {"fattree heavy",
+         {{"topology", "fattree"}, {"nodes", "64"}},
+         "heavy",
+         6000},
+        {"lossy, 5% fabric drops",
+         {{"topology", "fattree"},
+          {"nodes", "16"},
+          {"nic", "lossy"},
+          {"fault.dropProb", "0.05"}},
+         "heavy",
+         20000},
+        {"cm5 cyclic shift",
+         {{"topology", "cm5"}, {"nodes", "16"}},
+         "cshift",
+         40000},
+        {"crash and restart, reclaim",
+         {{"topology", "fattree"},
+          {"nodes", "16"},
+          {"node.crash", "5@1500+1000,9@3000+500"},
+          {"node.reclaimTimeout", "4000"}},
+         "heavy",
+         12000},
+        {"crash and restart, lossy, no reclaim",
+         {{"topology", "fattree"},
+          {"nodes", "16"},
+          {"nic", "lossy"},
+          {"node.crash", "5@1500+1000,9@3000+500"},
+          {"node.reclaimTimeout", "0"}},
+         "heavy",
+         12000},
+        {"collective offload with a crash",
+         {{"topology", "fattree"},
+          {"nodes", "16"},
+          {"coll.offload", "nic"},
+          {"node.crash", "6@1000"}},
+         "collective",
+         30000},
+    };
+    for (const Case &c : cases) {
+        Config conf;
+        for (const auto &[key, value] : c.args)
+            conf.set(key, std::string(value));
+        const SteppedRun slept = runStepped(conf, c.workload, c.cycles,
+                                            false);
+        const SteppedRun awake = runStepped(conf, c.workload, c.cycles,
+                                            true);
+        EXPECT_EQ(slept.report, awake.report) << c.name;
+        EXPECT_LT(slept.steps, awake.steps)
+            << c.name << ": nothing slept";
+    }
 }
 
 TEST(Determinism, ReportsCarryTheStableSchema)

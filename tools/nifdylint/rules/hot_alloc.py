@@ -4,8 +4,9 @@
                   out-of-class definition of a Steppable `step()`,
                   `Kernel::run`, the channel flit/credit push/pop
                   family and every router's `route()` (src/net/)
-                  and the NIC inject/eject family and the lossy
-                  NIC's timer walk (src/nic/) must carry the
+                  and the NIC inject/eject family, the NIC's wake
+                  computation and the lossy NIC's timer walk
+                  (src/nic/) must carry the
                   NIFDY_HOT macro (src/sim/types.hh) on its
                   definition. The macro is both a compiler hint and
                   the anchor this linter uses to find hot regions.
@@ -42,7 +43,7 @@ HOT_FAMILIES = (
     ("nic", {"nextToInject", "onPacketDelivered", "pumpInject",
              "pumpEject", "acceptArrival", "deliverArrival",
              "pushArrival", "needsArrivalSlot", "injectQueued",
-             "checkTimers"}),
+             "nextWork", "checkTimers"}),
 )
 
 #: Heap-allocating constructs. `new` is also covered by

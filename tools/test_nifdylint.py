@@ -320,6 +320,17 @@ def test_hot_required_covers_lossy_timer_walk():
                         {"src/nic/retransmit.cc": "NIFDY_HOT " + body})
 
 
+def test_hot_required_covers_nic_wake_computation():
+    # nextWork() runs at the end of every NIC step: an unmarked
+    # definition under src/nic/ is flagged, a marked one passes.
+    body = ("Cycle\nNifdyNic::nextWork(Cycle now) const\n{\n"
+            "    return now + 1;\n}\n")
+    vs = run_rule("hot-required", {"src/nic/nifdy.cc": body})
+    assert rules_hit(vs) == {"hot-required"}
+    assert not run_rule("hot-required",
+                        {"src/nic/nifdy.cc": "NIFDY_HOT " + body})
+
+
 # --- hot-alloc ----------------------------------------------------------
 
 def test_hot_alloc_positive():
