@@ -184,7 +184,8 @@ class Profiler
     }
     /** Host ns charged to components of class @p c (timed cycles). */
     std::uint64_t classNs(std::size_t c) const;
-    /** step() calls on components of class @p c (every cycle). */
+    /** step() calls on components of class @p c (every cycle; a
+     * sleeping component takes none). */
     std::uint64_t classSteps(std::size_t c) const;
     /** ...of which made no observable progress. */
     std::uint64_t classIdleSteps(std::size_t c) const;
